@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"net/http/httptest"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/evalvid"
@@ -126,4 +129,59 @@ func TestSojournPercentileAndGoodput(t *testing.T) {
 	if empty.SojournPercentile(0.5) != 0 || empty.Goodput() != 0 {
 		t.Fatal("empty result conventions violated")
 	}
+}
+
+// Header-only encryption must reassemble byte-identically through every
+// receiver — the live UDP receiver, the ingest daemon and the HTTP upload
+// server — whether the prefix is the minimum, a typical 64 B, or longer
+// than every payload (whole-payload encryption).
+func TestHeaderOnlyReceiversReassembleIdentically(t *testing.T) {
+	for _, hdr := range []int{vcrypt.MinHeaderOnlyBytes, 64, 4096} {
+		t.Run(strconv.Itoa(hdr), func(t *testing.T) { headerOnlyReceivers(t, hdr) })
+	}
+}
+
+func headerOnlyReceivers(t *testing.T, hdr int) {
+	pol := vcrypt.Policy{Mode: vcrypt.ModeAll, Alg: vcrypt.AES128, HeaderOnlyBytes: hdr}
+	s, _ := testSession(t, video.MotionLow, pol)
+	total := len(s.Encoded)
+
+	rx, err := NewLiveReceiver(s.Config, pol.Alg, s.Key, "127.0.0.1:0", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	rx.SetHeaderOnlyBytes(hdr)
+	srv, err := NewIngestServer(ingestTestConfig(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// The ingest daemon sits at the overhearing address: one send
+	// reaches both UDP receivers.
+	rep, err := LiveUDPSend(s, rx.Addr(), srv.Addr(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rx.WaitForPackets(rep.Packets, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		st, ok := srv.SessionStats(0x7561)
+		return ok && st.Received == rep.Packets
+	}, "every datagram to reach the ingest daemon")
+	sameFrames(t, "live UDP", rx.Frames(total), s.Encoded)
+	sameFrames(t, "UDP ingest", srv.SessionFrames(0x7561, total), s.Encoded)
+
+	hsrv, err := NewHTTPUploadServer(s.Config, pol.Alg, s.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsrv.HeaderOnlyBytes = hdr
+	hs := httptest.NewServer(hsrv)
+	if _, err := LiveHTTPUpload(s, hs.URL, nil); err != nil {
+		t.Fatal(err)
+	}
+	hs.Close()
+	sameFrames(t, "HTTP", hsrv.Frames(total), s.Encoded)
 }

@@ -123,13 +123,12 @@ type IngestTotals struct {
 	SessionsEvicted  int64
 }
 
+// ingestSession is one tenant: the shared receive state plus the
+// admission-side bookkeeping only the ingest daemon keeps.
 type ingestSession struct {
-	mu      sync.Mutex
-	ext     seqExtender
-	window  *seqWindow
-	asm     *codec.Reassembler
+	mu sync.Mutex
+	rxSession
 	limiter *TokenBucket // nil when SessionRate is 0
-	stats   IngestSessionStats
 	firstAt time.Time
 	lastAt  time.Time
 }
@@ -169,6 +168,25 @@ type IngestServer struct {
 // NewIngestServer opens the socket and starts the reader pool and the
 // idle-eviction sweeper.
 func NewIngestServer(cfg IngestConfig) (*IngestServer, error) {
+	s, err := newIngestServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.conn, err = listenUDP(s.cfg.Addr); err != nil {
+		return nil, err
+	}
+	for i := 0; i < s.cfg.Readers; i++ {
+		s.wg.Add(1)
+		go s.readLoop()
+	}
+	s.wg.Add(1)
+	go s.sweepLoop()
+	return s, nil
+}
+
+// newIngestServer fills in the config defaults and builds the server's
+// state without a socket.
+func newIngestServer(cfg IngestConfig) (*IngestServer, error) {
 	// Validate the codec config once up front so per-session reassembler
 	// construction cannot fail later.
 	if _, err := codec.NewReassembler(cfg.Cfg); err != nil {
@@ -200,18 +218,8 @@ func NewIngestServer(cfg IngestConfig) (*IngestServer, error) {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 30 * time.Second
 	}
-	udpAddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetReadBuffer(8 << 20) //nolint:errcheck // best effort; the default buffer only costs more drops
 	s := &IngestServer{
 		cfg:     cfg,
-		conn:    conn,
 		cipher:  cipher,
 		shards:  make([]*ingestShard, cfg.Shards),
 		rejects: NewTokenBucket(2000, 200),
@@ -220,12 +228,6 @@ func NewIngestServer(cfg IngestConfig) (*IngestServer, error) {
 	for i := range s.shards {
 		s.shards[i] = &ingestShard{sessions: make(map[uint32]*ingestSession)}
 	}
-	for i := 0; i < cfg.Readers; i++ {
-		s.wg.Add(1)
-		go s.readLoop()
-	}
-	s.wg.Add(1)
-	go s.sweepLoop()
 	return s, nil
 }
 
@@ -305,11 +307,11 @@ func (s *IngestServer) lookup(ssrc uint32) *ingestSession {
 	}
 	// The codec config was validated in the constructor, so this cannot
 	// fail.
-	asm, _ := codec.NewReassembler(s.cfg.Cfg)
+	rx, _ := newRxSession(s.cfg.Cfg, s.cipher, s.cfg.HeaderOnlyBytes)
 	// Stamp lastAt at admission so every session is sweepable from birth:
 	// a tenant admitted here whose packets never complete the packet path
 	// must not hold a MaxSessions slot forever.
-	sess := &ingestSession{window: newSeqWindow(defaultSeqSpan), asm: asm, lastAt: time.Now()}
+	sess := &ingestSession{rxSession: rx, lastAt: time.Now()}
 	if s.cfg.SessionRate > 0 {
 		sess.limiter = NewTokenBucket(s.cfg.SessionRate, s.cfg.SessionBurst)
 	}
@@ -335,37 +337,17 @@ func (s *IngestServer) process(sess *ingestSession, pkt rtp.Packet) {
 		mIngestThrottled.Inc()
 		return
 	}
-	seq64 := sess.ext.Extend(pkt.Sequence)
-	if sess.window.Mark(seq64) {
-		sess.stats.Duplicates++
-		sess.lastAt = now
-		sess.mu.Unlock()
+	dup, usable := sess.accept(sess.ext.Extend(pkt.Sequence), pkt)
+	sess.lastAt = now
+	if !dup && sess.firstAt.IsZero() {
+		sess.firstAt = now
+	}
+	sess.mu.Unlock()
+	if dup {
 		s.totals.dups.Add(1)
 		mIngestDuplicates.Inc()
 		return
 	}
-	if sess.firstAt.IsZero() {
-		sess.firstAt = now
-	}
-	sess.lastAt = now
-	sess.stats.Received++
-	sess.stats.Bytes += int64(len(pkt.Payload))
-	usable := false
-	if !pkt.Encrypted() || s.cipher != nil {
-		payload := pkt.Payload
-		if pkt.Encrypted() {
-			span := len(payload)
-			if s.cfg.HeaderOnlyBytes > 0 && s.cfg.HeaderOnlyBytes < span {
-				span = s.cfg.HeaderOnlyBytes
-			}
-			s.cipher.DecryptPacket(seq64, payload[:span])
-		}
-		if err := sess.asm.Add(payload); err == nil {
-			usable = true
-			sess.stats.Usable++
-		}
-	}
-	sess.mu.Unlock()
 	s.totals.packets.Add(1)
 	s.totals.bytes.Add(int64(len(pkt.Payload)))
 	mIngestPackets.Inc()

@@ -257,14 +257,7 @@ func (s *HTTPUploadServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, fmt.Sprintf("gap: got seq %d, need %d", seq, next), http.StatusConflict)
 			return
 		}
-		if encrypted {
-			span := len(payload)
-			if s.HeaderOnlyBytes > 0 && s.HeaderOnlyBytes < span {
-				span = s.HeaderOnlyBytes
-			}
-			s.cipher.DecryptPacket(seq, payload[:span])
-		}
-		if err := sess.asm.Add(payload); err == nil {
+		if openPacket(sess.asm, s.cipher, s.HeaderOnlyBytes, seq, encrypted, payload) {
 			count++
 		}
 		sess.segments++

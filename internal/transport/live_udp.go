@@ -34,136 +34,155 @@ type LiveSendReport struct {
 	Duplicated  int           // extra copies the conditioner injected
 }
 
+// udpSender is the per-packet send step LiveUDPSend and
+// LiveUDPSendReliable share: pad → select → marshal → encrypt the span →
+// ledger → count. Each sender still writes the sealed bytes and releases
+// or retains the packet's pooled buffer in its own body.
+type udpSender struct {
+	s        Session
+	source   string // ledger source: "udp" or "udp-reliable"
+	cipher   *vcrypt.Cipher
+	selector *vcrypt.Selector
+	seqr     *rtp.Sequencer
+	rep      LiveSendReport
+}
+
+func newUDPSender(s Session, source string) (*udpSender, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
+	if err != nil {
+		return nil, err
+	}
+	selector, err := vcrypt.NewSelector(s.Policy)
+	if err != nil {
+		return nil, err
+	}
+	ledger.Emit(ledger.EventPolicy, source, 0, 0, s.Policy.Name())
+	// Both senders use the same arbitrary SSRC.
+	return &udpSender{s: s, source: source, cipher: cipher, selector: selector, seqr: rtp.NewSequencer(0x7561)}, nil
+}
+
+// pace holds frame fi until its capture time, precomputing the
+// keystream of its n packets meanwhile, so by release time EncryptPacket
+// is a single XOR pass over cached keystream.
+func (u *udpSender) pace(start time.Time, fi int, seq uint64, n int) {
+	due := start.Add(time.Duration(float64(fi) / u.s.FPS * float64(time.Second)))
+	if d := time.Until(due); d > 0 {
+		go u.cipher.Prefetch(seq, n, u.s.MTU)
+		time.Sleep(d)
+	}
+}
+
+// seal turns packet seq of frame fi into its wire datagram, in the
+// packet's own pooled buffer, counts it, and returns the bytes to send.
+func (u *udpSender) seal(pkt *codec.WirePacket, fi int, seq uint64) []byte {
+	s := &u.s
+	payload := pkt.Payload
+	if s.PadToMTU && len(payload) < s.MTU {
+		payload = zeroPad(payload, s.MTU-len(payload))
+	}
+	encrypted := u.selector.ShouldEncrypt(pkt.IsIFrame())
+	// Marshal first — the RTP header lands in the buffer's headroom, the
+	// payload already aliases the rest — then encrypt the payload region
+	// in place: same wire bytes as encrypt-then-marshal, zero copies.
+	out := u.seqr.Next(payload, float64(fi)/s.FPS, encrypted).MarshalInto(pkt.Wire(len(payload)))
+	if encrypted {
+		t0 := time.Now()
+		u.cipher.EncryptPacket(seq, out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])
+		u.rep.CryptoTime += time.Since(t0)
+		u.rep.Encrypted++
+		mUDPEncrypted.Inc()
+		if span := s.Policy.EncryptSpan(len(payload)); span < len(payload) {
+			ledger.Emit(ledger.EventHeaderOnly, u.source, seq, uint64(span), "")
+		}
+	} else {
+		ledger.Emit(ledger.EventPlainPacket, u.source, seq, uint64(len(payload)), "")
+	}
+	u.rep.Packets++
+	u.rep.Bytes += len(out)
+	mUDPPacketsSent.Inc()
+	mUDPBytesSent.Add(int64(len(out)))
+	return out
+}
+
 // LiveUDPSend streams the session's packets to the receiver and
 // eavesdropper addresses. With pace=true packets are released on the
 // frame-capture schedule (real-time streaming); otherwise back to back
 // (file upload).
 func LiveUDPSend(s Session, rxAddr, evAddr string, pace bool) (LiveSendReport, error) {
-	var rep LiveSendReport
-	if err := s.Validate(); err != nil {
-		return rep, err
-	}
-	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
+	u, err := newUDPSender(s, "udp")
 	if err != nil {
-		return rep, err
+		return LiveSendReport{}, err
 	}
-	selector, err := vcrypt.NewSelector(s.Policy)
-	if err != nil {
-		return rep, err
-	}
-	ledger.Emit(ledger.EventPolicy, "udp", 0, 0, s.Policy.Name())
 	rxConn, err := net.Dial("udp", rxAddr)
 	if err != nil {
-		return rep, fmt.Errorf("transport: dial receiver: %w", err)
+		return u.rep, fmt.Errorf("transport: dial receiver: %w", err)
 	}
 	defer rxConn.Close()
 	var evConn net.Conn
 	if evAddr != "" {
 		evConn, err = net.Dial("udp", evAddr)
 		if err != nil {
-			return rep, fmt.Errorf("transport: dial eavesdropper: %w", err)
+			return u.rep, fmt.Errorf("transport: dial eavesdropper: %w", err)
 		}
 		defer evConn.Close()
 	}
-	seqr := rtp.NewSequencer(0x7561) // arbitrary SSRC
 	pool := codec.NewBufPool()
 	var wps []codec.WirePacket
 	start := time.Now()
-	seq := 0
+	var seq uint64
 	for fi, ef := range s.Encoded {
 		wps, err = codec.PacketizeInto(ef, s.MTU, rtp.HeaderSize, pool, wps[:0])
 		if err != nil {
-			return rep, err
+			return u.rep, err
 		}
 		if pace {
-			due := start.Add(time.Duration(float64(fi) / s.FPS * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				// Overlap the pacing wait with keystream precompute, so
-				// by release time EncryptPacket on the hot path is a
-				// single XOR pass over cached keystream.
-				go cipher.Prefetch(uint64(seq), len(wps), s.MTU)
-				time.Sleep(d)
-			}
+			u.pace(start, fi, seq, len(wps))
 		}
 		for i := range wps {
 			pkt := &wps[i]
-			payload := pkt.Payload
-			if s.PadToMTU && len(payload) < s.MTU {
-				payload = zeroPad(payload, s.MTU-len(payload))
-			}
-			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
-			// Marshal first — the RTP header lands in the buffer's
-			// headroom, the payload already aliases the rest — then
-			// encrypt the payload region in place: same wire bytes as
-			// encrypt-then-marshal, zero copies.
-			out := seqr.Next(payload, float64(fi)/s.FPS, encrypted).MarshalInto(pkt.Wire(len(payload)))
-			if encrypted {
-				t0 := time.Now()
-				cipher.EncryptPacket(uint64(seq), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])
-				rep.CryptoTime += time.Since(t0)
-				rep.Encrypted++
-				mUDPEncrypted.Inc()
-				if span := s.Policy.EncryptSpan(len(payload)); span < len(payload) {
-					ledger.Emit(ledger.EventHeaderOnly, "udp", uint64(seq), uint64(span), "")
-				}
-			} else {
-				ledger.Emit(ledger.EventPlainPacket, "udp", uint64(seq), uint64(len(payload)), "")
-			}
+			out := u.seal(pkt, fi, seq)
 			if _, err := rxConn.Write(out); err != nil {
 				pool.Put(pkt)
-				return rep, fmt.Errorf("transport: send to receiver: %w", err)
+				return u.rep, fmt.Errorf("transport: send to receiver: %w", err)
 			}
 			if evConn != nil {
 				// Broadcast overhear: the same datagram reaches the
 				// eavesdropper's capture socket.
 				if _, err := evConn.Write(out); err != nil {
 					pool.Put(pkt)
-					return rep, fmt.Errorf("transport: send to eavesdropper: %w", err)
+					return u.rep, fmt.Errorf("transport: send to eavesdropper: %w", err)
 				}
 			}
-			rep.Packets++
-			rep.Bytes += len(out)
-			mUDPPacketsSent.Inc()
-			mUDPBytesSent.Add(int64(len(out)))
 			pool.Put(pkt)
 			seq++
 		}
 	}
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	u.rep.Elapsed = time.Since(start)
+	return u.rep, nil
 }
 
 // LiveReceiver captures RTP packets on a UDP socket, applies a loss
 // filter, decrypts marked payloads when it has the key (the legitimate
 // receiver) or discards them as erasures when it does not (the
-// eavesdropper), and reassembles frames.
+// eavesdropper), and reassembles frames. It is a single-session front
+// end over the receive step IngestServer runs per tenant (rxSession),
+// adding only the loss filter and NACK-driven retransmit requests.
 type LiveReceiver struct {
-	conn   *net.UDPConn
-	cipher *vcrypt.Cipher // nil for the eavesdropper
+	conn      *net.UDPConn
+	closeOnce sync.Once
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled on every state change and on shutdown
-	dropper  netem.Dropper
-	asm      *codec.Reassembler
-	received int
-	captured int
-	dups     int // arrivals whose sequence was already delivered
-	closed   bool
-	dead     bool // loop exited (socket closed)
-	done     chan struct{}
-	hdrOnly  int
-
-	// window is the per-sequence dedup set. It is always active (allocated
-	// by the constructor), not just under NACK: link-layer duplication
-	// and retransmit races must never inflate the captured/usable counts,
-	// only the dups counter. Delivered sequences compact into a contiguous
-	// floor, so the window's memory stays bounded over arbitrarily long
-	// sessions.
-	window *seqWindow
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled on every state change and on shutdown
+	dropper netem.Dropper
+	sess    rxSession
+	dead    bool // loop exited (socket closed)
+	done    chan struct{}
 
 	// Selective-retransmit state (EnableNACK).
 	maxSeq    uint64
-	haveSeq   bool
 	nackFloor uint64 // sequences below this are never NACKed again
 	nackTry   map[uint64]int
 	nackAt    map[uint64]time.Time // first-NACK time per missing sequence
@@ -175,39 +194,42 @@ type LiveReceiver struct {
 // (0 = whole payload). Must match the sender's Policy.HeaderOnlyBytes.
 func (r *LiveReceiver) SetHeaderOnlyBytes(n int) {
 	r.mu.Lock()
-	r.hdrOnly = n
+	r.sess.hdrOnly = n
 	r.mu.Unlock()
 }
 
 // NewLiveReceiver opens a listening socket. Pass a nil key to create an
 // eavesdropper (marked packets become erasures). addr may use port 0.
 func NewLiveReceiver(cfg codec.Config, alg vcrypt.Algorithm, key []byte, addr string, loss float64, seed uint64) (*LiveReceiver, error) {
-	asm, err := codec.NewReassembler(cfg)
+	r, err := newLiveReceiver(cfg, alg, key, loss, seed)
 	if err != nil {
 		return nil, err
 	}
+	if r.conn, err = listenUDP(addr); err != nil {
+		return nil, err
+	}
+	go r.loop()
+	return r, nil
+}
+
+// newLiveReceiver builds the receiver's state without a socket.
+func newLiveReceiver(cfg codec.Config, alg vcrypt.Algorithm, key []byte, loss float64, seed uint64) (*LiveReceiver, error) {
 	filter, err := netem.NewFilter(loss, seed)
 	if err != nil {
 		return nil, err
 	}
 	var cipher *vcrypt.Cipher
 	if key != nil {
-		cipher, err = vcrypt.NewCipher(alg, key)
-		if err != nil {
+		if cipher, err = vcrypt.NewCipher(alg, key); err != nil {
 			return nil, err
 		}
 	}
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
+	sess, err := newRxSession(cfg, cipher, 0)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return nil, err
-	}
-	r := &LiveReceiver{conn: conn, dropper: filter, cipher: cipher, asm: asm, window: newSeqWindow(defaultSeqSpan), done: make(chan struct{})}
+	r := &LiveReceiver{dropper: filter, sess: sess, done: make(chan struct{})}
 	r.cond = sync.NewCond(&r.mu)
-	go r.loop()
 	return r, nil
 }
 
@@ -271,7 +293,7 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 		r.mu.Lock()
 		peer := r.nackFrom
 		var missing []uint64
-		if r.haveSeq && peer != nil {
+		if r.maxSeq > 0 && peer != nil {
 			// Snap the floor into the scan window first, dropping the
 			// bookkeeping of everything it abandons so the maps stay
 			// bounded by the window.
@@ -281,13 +303,13 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 			// Advance the floor past everything delivered or given up on;
 			// the scan then covers at most maxNackWindow sequences instead
 			// of rescanning [0, maxSeq) every tick.
-			for r.nackFloor < r.maxSeq && (r.window.Seen(r.nackFloor) || r.nackTry[r.nackFloor] >= maxNackTries) {
+			for r.nackFloor < r.maxSeq && (r.sess.window.Seen(r.nackFloor) || r.nackTry[r.nackFloor] >= maxNackTries) {
 				delete(r.nackTry, r.nackFloor)
 				delete(r.nackAt, r.nackFloor)
 				r.nackFloor++
 			}
 			for seq := r.nackFloor; seq < r.maxSeq && len(missing) < maxNackBatch; seq++ {
-				if !r.window.Seen(seq) && r.nackTry[seq] < maxNackTries {
+				if !r.sess.window.Seen(seq) && r.nackTry[seq] < maxNackTries {
 					if r.nackTry[seq] == 0 {
 						// First request: anchor the recovery-delay clock.
 						r.nackAt[seq] = time.Now()
@@ -338,75 +360,57 @@ func (r *LiveReceiver) loop() {
 		close(r.done)
 	}()
 	buf := make([]byte, 65536)
-	// ext maps the RTP 16-bit sequence onto the sender's 64-bit cipher IV
-	// counter by nearest-epoch extension, so a straggler reordered across
-	// an epoch wrap still decrypts under its original IV (see seqExtender).
-	var ext seqExtender
 	for {
 		n, from, err := r.conn.ReadFromUDP(buf)
 		if err != nil {
 			return
 		}
-		pkt, err := rtp.Parse(buf[:n])
-		if err != nil {
-			continue
+		r.handle(buf[:n], from)
+	}
+}
+
+// handle runs one datagram through the receiver. The payload is opened
+// in place, so data is reusable as soon as handle returns.
+func (r *LiveReceiver) handle(data []byte, from *net.UDPAddr) {
+	pkt, err := rtp.Parse(data)
+	if err != nil {
+		return
+	}
+	// Sequence extension happens before the loss decision so
+	// sequence-addressed droppers (burst over one I-frame) see every
+	// arrival, like the channel would. The dropper is caller-supplied,
+	// so it runs without the lock.
+	r.mu.Lock()
+	seq64 := r.sess.ext.Extend(pkt.Sequence)
+	dropper := r.dropper
+	r.mu.Unlock()
+	if dropper != nil && dropper.DropSeq(seq64) {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.nackFrom = from
+	dup, usable := r.sess.accept(seq64, pkt)
+	r.cond.Broadcast()
+	if dup {
+		mRxDuplicates.Inc()
+		return
+	}
+	mRxCaptured.Inc()
+	if usable {
+		mRxUsable.Inc()
+	}
+	if seq64 >= r.maxSeq {
+		r.maxSeq = seq64 + 1
+	}
+	if r.nackAt != nil {
+		if t0, ok := r.nackAt[seq64]; ok {
+			mNACKRecoverySeconds.Observe(time.Since(t0).Seconds())
+			delete(r.nackAt, seq64)
 		}
-		// Sequence extension happens before the loss decision so
-		// sequence-addressed droppers (burst over one I-frame) see every
-		// arrival, like the channel would.
-		seq64 := ext.Extend(pkt.Sequence)
-		r.mu.Lock()
-		dropper := r.dropper
-		r.mu.Unlock()
-		if dropper != nil && dropper.DropSeq(seq64) {
-			continue
-		}
-		payload := append([]byte(nil), pkt.Payload...)
-		r.mu.Lock()
-		r.nackFrom = from
-		if r.window.Mark(seq64) {
-			// Duplicate delivery (retransmit raced the original, or
-			// link-layer duplication): count it separately and ignore it
-			// so captured/usable reflect first deliveries only.
-			r.dups++
-			mRxDuplicates.Inc()
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			continue
-		}
-		if seq64 >= r.maxSeq {
-			r.maxSeq = seq64 + 1
-		}
-		r.haveSeq = true
-		if r.nackAt != nil {
-			if t0, ok := r.nackAt[seq64]; ok {
-				mNACKRecoverySeconds.Observe(time.Since(t0).Seconds())
-				delete(r.nackAt, seq64)
-			}
-			// The sequence arrived: its retry count must not linger, or
-			// the map grows one entry per recovered loss forever.
-			delete(r.nackTry, seq64)
-		}
-		r.captured++
-		mRxCaptured.Inc()
-		if pkt.Encrypted() {
-			if r.cipher == nil {
-				r.cond.Broadcast()
-				r.mu.Unlock()
-				continue // eavesdropper: erasure
-			}
-			span := len(payload)
-			if r.hdrOnly > 0 && r.hdrOnly < span {
-				span = r.hdrOnly
-			}
-			r.cipher.DecryptPacket(seq64, payload[:span])
-		}
-		if err := r.asm.Add(payload); err == nil {
-			r.received++
-			mRxUsable.Inc()
-		}
-		r.cond.Broadcast()
-		r.mu.Unlock()
+		// The sequence arrived: its retry count must not linger, or
+		// the map grows one entry per recovered loss forever.
+		delete(r.nackTry, seq64)
 	}
 }
 
@@ -425,7 +429,7 @@ func (r *LiveReceiver) WaitForPackets(n int, timeout time.Duration) error {
 	defer timer.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.captured < n {
+	for r.sess.stats.Received < n {
 		if r.dead {
 			return errors.New("transport: receiver closed while waiting for packets")
 		}
@@ -441,7 +445,7 @@ func (r *LiveReceiver) WaitForPackets(n int, timeout time.Duration) error {
 func (r *LiveReceiver) Frames(total int) []*codec.EncodedFrame {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.asm.Frames(total)
+	return r.sess.asm.Frames(total)
 }
 
 // Stats returns (captured, usable) packet counts. Both count first
@@ -451,7 +455,7 @@ func (r *LiveReceiver) Frames(total int) []*codec.EncodedFrame {
 func (r *LiveReceiver) Stats() (captured, usable int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.captured, r.received
+	return r.sess.stats.Received, r.sess.stats.Usable
 }
 
 // Duplicates returns how many arrivals repeated an already-delivered
@@ -459,7 +463,7 @@ func (r *LiveReceiver) Stats() (captured, usable int) {
 func (r *LiveReceiver) Duplicates() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dups
+	return r.sess.stats.Duplicates
 }
 
 // NACK datagrams travel receiver→sender on the same socket pair:
@@ -520,33 +524,20 @@ type ReliableUDPOptions struct {
 // I-frame burst wrecks the whole GOP (the asymmetry the paper's policies
 // are built on). The receiver must have EnableNACK active.
 func LiveUDPSendReliable(s Session, rxAddr, evAddr string, pace bool, opts ReliableUDPOptions) (LiveSendReport, error) {
-	var rep LiveSendReport
-	if err := s.Validate(); err != nil {
-		return rep, err
-	}
-	cipher, err := vcrypt.NewCipher(s.Policy.Alg, s.Key)
+	u, err := newUDPSender(s, "udp-reliable")
 	if err != nil {
-		return rep, err
+		return LiveSendReport{}, err
 	}
-	selector, err := vcrypt.NewSelector(s.Policy)
+	rxConn, err := net.Dial("udp", rxAddr)
 	if err != nil {
-		return rep, err
-	}
-	ledger.Emit(ledger.EventPolicy, "udp-reliable", 0, 0, s.Policy.Name())
-	raddr, err := net.ResolveUDPAddr("udp", rxAddr)
-	if err != nil {
-		return rep, fmt.Errorf("transport: resolve receiver: %w", err)
-	}
-	rxConn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return rep, fmt.Errorf("transport: dial receiver: %w", err)
+		return u.rep, fmt.Errorf("transport: dial receiver: %w", err)
 	}
 	defer rxConn.Close()
 	var evConn net.Conn
 	if evAddr != "" {
 		evConn, err = net.Dial("udp", evAddr)
 		if err != nil {
-			return rep, fmt.Errorf("transport: dial eavesdropper: %w", err)
+			return u.rep, fmt.Errorf("transport: dial eavesdropper: %w", err)
 		}
 		defer evConn.Close()
 	}
@@ -563,6 +554,9 @@ func LiveUDPSendReliable(s Session, rxAddr, evAddr string, pace bool, opts Relia
 	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// stopNACK ends the NACK reader; every return path runs it.
+	stopNACK := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopNACK()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -602,91 +596,56 @@ func LiveUDPSendReliable(s Session, rxAddr, evAddr string, pace bool, opts Relia
 		}
 	}()
 
-	seqr := rtp.NewSequencer(0x7561) // same arbitrary SSRC as LiveUDPSend
 	pool := codec.NewBufPool()
 	var wps []codec.WirePacket
 	start := time.Now()
-	seq := 0
+	var seq uint64
 	for fi, ef := range s.Encoded {
 		wps, err = codec.PacketizeInto(ef, s.MTU, rtp.HeaderSize, pool, wps[:0])
 		if err != nil {
-			close(stop)
-			wg.Wait()
-			return rep, err
+			return u.rep, err
 		}
 		if pace {
-			due := start.Add(time.Duration(float64(fi) / s.FPS * float64(time.Second)))
-			if d := time.Until(due); d > 0 {
-				// Precompute this frame's keystreams while waiting for
-				// its release time (see LiveUDPSend).
-				go cipher.Prefetch(uint64(seq), len(wps), s.MTU)
-				time.Sleep(d)
-			}
+			u.pace(start, fi, seq, len(wps))
 		}
 		for i := range wps {
 			pkt := &wps[i]
-			payload := pkt.Payload
-			if s.PadToMTU && len(payload) < s.MTU {
-				payload = zeroPad(payload, s.MTU-len(payload))
-			}
-			encrypted := selector.ShouldEncrypt(pkt.IsIFrame())
-			out := seqr.Next(payload, float64(fi)/s.FPS, encrypted).MarshalInto(pkt.Wire(len(payload)))
-			if encrypted {
-				t0 := time.Now()
-				cipher.EncryptPacket(uint64(seq), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])
-				rep.CryptoTime += time.Since(t0)
-				rep.Encrypted++
-				mUDPEncrypted.Inc()
-				if span := s.Policy.EncryptSpan(len(payload)); span < len(payload) {
-					ledger.Emit(ledger.EventHeaderOnly, "udp-reliable", uint64(seq), uint64(span), "")
-				}
-			} else {
-				ledger.Emit(ledger.EventPlainPacket, "udp-reliable", uint64(seq), uint64(len(payload)), "")
-			}
+			out := u.seal(pkt, fi, seq)
 			if pkt.IsIFrame() {
 				bufMu.Lock()
-				iBuf[uint64(seq)] = out
+				iBuf[seq] = out
 				bufMu.Unlock()
 				//lint:retain(I-frame retransmit queue holds the marshaled bytes until the drain ends)
 				pkt.Retain()
 			}
 			send := true
 			if opts.Conditioner != nil {
-				imp := opts.Conditioner.Next(uint64(seq))
-				switch {
-				case imp.Drop:
+				imp := opts.Conditioner.Next(seq)
+				if imp.Drop {
 					send = false
-					rep.Dropped++
-				default:
+					u.rep.Dropped++
+				} else {
 					if imp.Delay > 0 {
 						time.Sleep(imp.Delay)
 					}
 					for i := 0; i < imp.Duplicates; i++ {
 						rxConn.Write(out) //nolint:errcheck // duplicates are opportunistic
-						rep.Duplicated++
+						u.rep.Duplicated++
 					}
 				}
 			}
 			if send {
 				if _, err := rxConn.Write(out); err != nil {
 					pool.Put(pkt)
-					close(stop)
-					wg.Wait()
-					return rep, fmt.Errorf("transport: send to receiver: %w", err)
+					return u.rep, fmt.Errorf("transport: send to receiver: %w", err)
 				}
 			}
 			if evConn != nil {
 				if _, err := evConn.Write(out); err != nil {
 					pool.Put(pkt)
-					close(stop)
-					wg.Wait()
-					return rep, fmt.Errorf("transport: send to eavesdropper: %w", err)
+					return u.rep, fmt.Errorf("transport: send to eavesdropper: %w", err)
 				}
 			}
-			rep.Packets++
-			rep.Bytes += len(out)
-			mUDPPacketsSent.Inc()
-			mUDPBytesSent.Add(int64(len(out)))
 			// Retained I-frame buffers live on in the retransmit map and
 			// never rejoin the pool (Put after Retain is a no-op); P/B
 			// buffers recycle at once.
@@ -696,25 +655,16 @@ func LiveUDPSendReliable(s Session, rxAddr, evAddr string, pace bool, opts Relia
 	}
 	// Keep answering NACKs while the receiver notices its gaps.
 	time.Sleep(drain)
-	close(stop)
-	wg.Wait()
-	bufMu.Lock()
-	rep.Retransmits = retransmits
-	bufMu.Unlock()
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	stopNACK()
+	u.rep.Retransmits = retransmits // the reader has exited
+	u.rep.Elapsed = time.Since(start)
+	return u.rep, nil
 }
 
-// Close shuts the socket down.
+// Close shuts the socket down and waits for the receive loop to exit.
 func (r *LiveReceiver) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	r.mu.Unlock()
-	err := r.conn.Close()
+	var err error
+	r.closeOnce.Do(func() { err = r.conn.Close() })
 	<-r.done
 	return err
 }

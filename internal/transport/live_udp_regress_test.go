@@ -56,34 +56,22 @@ func sendRaw(t *testing.T, conn net.Conn, buf []byte, seq64 uint64, encrypted bo
 func TestLiveReceiverReorderedWrapDecrypts(t *testing.T) {
 	pol := vcrypt.Policy{Mode: vcrypt.ModeAll, Alg: vcrypt.AES256}
 	s, _ := testSession(t, video.MotionLow, pol)
-	rx, err := NewLiveReceiver(s.Config, pol.Alg, s.Key, "127.0.0.1:0", 0, 1)
+	rx, err := newLiveReceiver(s.Config, pol.Alg, s.Key, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rx.Close()
 	cipher, err := vcrypt.NewCipher(pol.Alg, s.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Arrival order: two packets before the wrap, two after it, then a
 	// straggler from before the wrap arriving late. Each is encrypted
-	// under the extended sequence the sender would have used.
+	// under the extended sequence the sender would have used, and handed
+	// to the receiver directly, so the crafted order is the arrival order.
 	seqs := []uint64{65534, 65535, 65536, 65537, 65533}
 	payloads := regressPayloads(t, s, len(seqs))
-	conn, err := net.Dial("udp", rx.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	buf := make([]byte, rtp.HeaderSize+s.MTU+64)
 	for i, seq64 := range seqs {
-		payload := append([]byte(nil), payloads[i]...)
-		cipher.EncryptPacket(seq64, payload)
-		sendRaw(t, conn, buf, seq64, true, payload)
-		time.Sleep(2 * time.Millisecond) // preserve the crafted arrival order
-	}
-	if err := rx.WaitForPackets(len(seqs), 5*time.Second); err != nil {
-		t.Fatal(err)
+		rx.handle(craftedDatagram(cipher, seq64, payloads[i]), nil)
 	}
 	captured, usable := rx.Stats()
 	if captured != len(seqs) {
@@ -234,8 +222,8 @@ func TestLiveReceiverLongSessionMemoryBounded(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // one more NACK tick past quiescence
 
 	rx.mu.Lock()
-	pending := rx.window.Pending()
-	floor := rx.window.Floor()
+	pending := rx.sess.window.Pending()
+	floor := rx.sess.window.Floor()
 	nackTry := len(rx.nackTry)
 	nackAt := len(rx.nackAt)
 	maxSeq := rx.maxSeq

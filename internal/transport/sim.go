@@ -142,7 +142,6 @@ func runSim(s Session, seed uint64, tcp bool) (*Result, error) {
 	var records []PacketRecord
 	var serverFree float64
 	var nEncrypted, nLost int
-	var rxScratch []byte // receive-side decrypt buffer, reused per packet
 	for seq, it := range items {
 		arrival := it.arrival
 		// Audio rides fully encrypted whenever the session encrypts at
@@ -234,10 +233,11 @@ func runSim(s Session, seed uint64, tcp bool) (*Result, error) {
 		}
 		records = append(records, rec)
 
-		// Receiver path: decrypt flagged packets, reassemble. The
-		// reassembler copies macroblock bytes out of the payload, so one
-		// scratch buffer serves every video packet; audio frames are
-		// retained and keep their own copy.
+		// Receiver path: decrypt flagged packets, reassemble. Video
+		// payloads are opened in place: the work list is consumed once
+		// and the eavesdropper below only reads plaintext packets, which
+		// opening leaves untouched. Audio frames are retained and keep
+		// their own copy.
 		if receiverGot {
 			if it.isAudio {
 				rx := append([]byte(nil), payload...)
@@ -245,30 +245,21 @@ func runSim(s Session, seed uint64, tcp bool) (*Result, error) {
 					cipher.DecryptPacket(uint64(seq), rx)
 				}
 				rxAudio[it.frameNum].Data = rx
-			} else {
-				rxScratch = append(rxScratch[:0], payload...)
-				if encrypt {
-					cipher.DecryptPacket(uint64(seq), rxScratch[:s.Policy.EncryptSpan(len(rxScratch))])
-				}
-				if err := rxAsm.Add(rxScratch); err != nil {
-					// A receive-side parse failure is data loss, not a
-					// harness error.
-					nLost++
-				}
+			} else if !openPacket(rxAsm, cipher, s.Policy.HeaderOnlyBytes, uint64(seq), encrypt, payload) {
+				// A receive-side parse failure is data loss, not a
+				// harness error.
+				nLost++
 			}
 		} else {
 			nLost++
 		}
-		// Eavesdropper path: captured ciphertext is useless — an erasure;
-		// captured plaintext parses normally. A garbled ciphertext parse
-		// failure is expected and ignored.
-		if eavesGot && !encrypt {
-			if it.isAudio {
+		// Eavesdropper path: the keyless receiver, for which captured
+		// ciphertext is an erasure.
+		if eavesGot {
+			if !it.isAudio {
+				openPacket(evAsm, nil, 0, uint64(seq), encrypt, it.payload)
+			} else if !encrypt {
 				evAudio[it.frameNum].Data = append([]byte(nil), it.payload...)
-			} else {
-				// The reassembler copies the macroblock bytes it keeps,
-				// so the work-list payload can be fed to it directly.
-				_ = evAsm.Add(it.payload) //lint:allow bitioerr eavesdropper feeds ciphertext; parse failures are the expected outcome
 			}
 		}
 	}

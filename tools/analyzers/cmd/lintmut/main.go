@@ -70,8 +70,9 @@ type mutant struct {
 
 const (
 	// The zero-copy send paths encrypt the payload region of the marshaled
-	// wire buffer in place; resume.go still encrypts a detached payload.
-	udpEncryptCall    = "cipher.EncryptPacket(uint64(seq), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])"
+	// wire buffer in place — for UDP in the one send step both senders
+	// share; resume.go still encrypts a detached payload.
+	udpEncryptCall    = "u.cipher.EncryptPacket(seq, out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])"
 	httpEncryptCall   = "cipher.EncryptPacket(seq, wire[segmentHeaderSize:][:s.Policy.EncryptSpan(len(payload))])"
 	resumeEncryptCall = "cipher.EncryptPacket(seq, payload[:s.Policy.EncryptSpan(len(payload))])"
 )
@@ -81,15 +82,18 @@ var mutants = []mutant{
 	{
 		ID: "udp-iframe-plain", Analyzer: plainleak.Analyzer,
 		File:    "internal/transport/live_udp.go",
-		Patches: []patch{{Old: udpEncryptCall, New: "_ = cipher", Occ: 2}},
-		Desc:    "LiveUDPSendReliable sends I-frame packets over UDP without encrypting them",
+		Patches: []patch{{Old: udpEncryptCall, New: "_ = u.cipher"}},
+		Desc:    "the shared UDP send step drops the EncryptPacket call, so both UDP senders put selected I-frame packets on the wire in plaintext",
 		Quick:   true,
 	},
 	{
-		ID: "udp-plain", Analyzer: plainleak.Analyzer,
-		File:    "internal/transport/live_udp.go",
-		Patches: []patch{{Old: udpEncryptCall, New: "_ = cipher", Occ: 1}},
-		Desc:    "LiveUDPSend drops the EncryptPacket call on the selected path",
+		ID: "udp-dup-preseal", Analyzer: plainleak.Analyzer,
+		File: "internal/transport/live_udp.go",
+		Patches: []patch{{
+			Old: "rxConn.Write(out) //nolint:errcheck // duplicates are opportunistic",
+			New: "rxConn.Write(pkt.Payload) //nolint:errcheck // duplicates are opportunistic",
+		}},
+		Desc: "the reliable sender's duplicate injector writes the packet's unsealed payload view instead of the datagram the send step sealed",
 	},
 	{
 		ID: "http-plain", Analyzer: plainleak.Analyzer,
@@ -107,9 +111,8 @@ var mutants = []mutant{
 		ID: "udp-guard-bypass", Analyzer: plainleak.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "encrypted := selector.ShouldEncrypt(pkt.IsIFrame())",
-			New: "_ = selector\n\t\t\tencrypted := pkt.IsIFrame()",
-			Occ: 1,
+			Old: "encrypted := u.selector.ShouldEncrypt(pkt.IsIFrame())",
+			New: "_ = u.selector\n\tencrypted := pkt.IsIFrame()",
 		}},
 		Desc: "the encryption decision no longer comes from the policy selector, so plaintext sends are unsanctioned",
 	},
@@ -148,8 +151,8 @@ var mutants = []mutant{
 		ID: "ibuf-defer-lock", Analyzer: lockheld.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\t\t\tbufMu.Lock()\n\t\t\t\tiBuf[uint64(seq)] = out\n\t\t\t\tbufMu.Unlock()",
-			New: "\t\t\t\tbufMu.Lock()\n\t\t\t\tiBuf[uint64(seq)] = out\n\t\t\t\tdefer bufMu.Unlock()",
+			Old: "\t\t\t\tbufMu.Lock()\n\t\t\t\tiBuf[seq] = out\n\t\t\t\tbufMu.Unlock()",
+			New: "\t\t\t\tbufMu.Lock()\n\t\t\t\tiBuf[seq] = out\n\t\t\t\tdefer bufMu.Unlock()",
 		}},
 		Desc: "the I-frame buffer lock is held until function return, across every subsequent send",
 	},
@@ -166,8 +169,8 @@ var mutants = []mutant{
 		ID: "cond-wait-nolock", Analyzer: lockheld.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tfor r.captured < n {",
-			New: "\tfor r.captured < n {",
+			Old: "\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tfor r.sess.stats.Received < n {",
+			New: "\tfor r.sess.stats.Received < n {",
 		}},
 		Desc: "the receiver waiter calls cond.Wait without holding the mutex Wait is documented to require",
 	},
@@ -239,8 +242,9 @@ var mutants = []mutant{
 		ID: "bufown-leak", Analyzer: bufown.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\t\tmUDPBytesSent.Add(int64(len(out)))\n\t\t\tpool.Put(pkt)\n\t\t\tseq++",
-			New: "\t\t\tmUDPBytesSent.Add(int64(len(out)))\n\t\t\tseq++",
+			Old: "\t\t\tpool.Put(pkt)\n\t\t\tseq++",
+			New: "\t\t\tseq++",
+			Occ: 1,
 		}},
 		Desc:  "LiveUDPSend stops recycling sent packets: every iteration leaks its pooled buffer",
 		Quick: true,
@@ -249,8 +253,8 @@ var mutants = []mutant{
 		ID: "bufown-double-put", Analyzer: bufown.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\t\t\tpool.Put(pkt)\n\t\t\t\treturn rep, fmt.Errorf(\"transport: send to receiver: %w\", err)",
-			New: "\t\t\t\tpool.Put(pkt)\n\t\t\t\tpool.Put(pkt)\n\t\t\t\treturn rep, fmt.Errorf(\"transport: send to receiver: %w\", err)",
+			Old: "\t\t\t\tpool.Put(pkt)\n\t\t\t\treturn u.rep, fmt.Errorf(\"transport: send to receiver: %w\", err)",
+			New: "\t\t\t\tpool.Put(pkt)\n\t\t\t\tpool.Put(pkt)\n\t\t\t\treturn u.rep, fmt.Errorf(\"transport: send to receiver: %w\", err)",
 		}},
 		Desc: "the send error path releases the same packet twice, poisoning the pool with a duplicate buffer",
 	},
@@ -353,8 +357,8 @@ var mutants = []mutant{
 		ID: "seqwrap-raw-compare", Analyzer: seqwrap.Analyzer,
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
-			Old: "\t\tseq64 := ext.Extend(pkt.Sequence)",
-			New: "\t\tlate := pkt.Sequence > 0x8000\n\t\t_ = late\n\t\tseq64 := ext.Extend(pkt.Sequence)",
+			Old: "\tseq64 := r.sess.ext.Extend(pkt.Sequence)",
+			New: "\tlate := pkt.Sequence > 0x8000\n\t_ = late\n\tseq64 := r.sess.ext.Extend(pkt.Sequence)",
 		}},
 		Desc:  "the receiver orders arrivals by raw 16-bit sequence, which inverts at every wrap",
 		Quick: true,
@@ -366,8 +370,7 @@ var mutants = []mutant{
 		File: "internal/transport/live_udp.go",
 		Patches: []patch{{
 			Old: udpEncryptCall,
-			New: "cipher.EncryptPacket(uint64(uint16(seq)), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])",
-			Occ: 1,
+			New: "u.cipher.EncryptPacket(uint64(uint16(seq)), out[rtp.HeaderSize:][:s.Policy.EncryptSpan(len(payload))])",
 		}},
 		Desc:  "the UDP sender truncates its IV counter to 16 bits before widening it back: keystream reuse every 65536 packets",
 		Quick: true,
