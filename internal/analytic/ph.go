@@ -110,10 +110,12 @@ func PHZero() PH {
 
 // DefaultMaxErlangOrder bounds the number of stages used when fitting
 // (near-)deterministic times. Higher orders match low variance better but
-// quadratically inflate the QBD phase space; 32 keeps the relative error of
-// a constant's variance representation at ~3% of the squared mean while a
-// full queue solve stays well under a second. The trade-off is quantified
-// by BenchmarkAblationErlangOrder.
+// add phases to the QBD level (the service PH convolves up to four fitted
+// components of at most this many stages each), and SolveQueue's cost
+// grows linearly with the phase count. 32 keeps the relative error of a constant's variance
+// representation at ~3% of the squared mean while a planner-sized solve
+// (125 service phases, 250 per QBD level) takes about a millisecond. The
+// trade-off is quantified by BenchmarkAblationErlangOrder.
 const DefaultMaxErlangOrder = 32
 
 // PHFit2Moment returns a phase-type distribution matching the given mean

@@ -144,6 +144,11 @@ func postSegments(client *http.Client, url, sid string, segs []wireSegment, rest
 		return sent, sentBytes, sentEnc, 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	// Stream no segment until the server has answered the headers. A
+	// link that is refusing or severing connections would otherwise
+	// swallow a socket buffer of segments per attempt, counted as sent
+	// though the server never saw them.
+	req.Header.Set("Expect", "100-continue")
 	if sid != "" {
 		req.Header.Set(SessionHeader, sid)
 	}
