@@ -53,7 +53,8 @@ func FuzzReadContainer(f *testing.F) {
 // FuzzReassembler feeds arbitrary slice payloads through ParsePacket,
 // SliceMBs and Reassembler.Add — the exact path an eavesdropper's
 // garbled ciphertext takes. Damaged payloads must come back as errors,
-// never as panics or out-of-range writes.
+// never as panics or out-of-range writes, and an accepted payload must
+// reassemble to exactly the chunks SliceMBs cuts from it.
 func FuzzReassembler(f *testing.F) {
 	cfg := fuzzConfig()
 	pkts, err := Packetize(fuzzFrame(cfg, 3, IFrame), 256)
@@ -67,8 +68,10 @@ func FuzzReassembler(f *testing.F) {
 		}
 	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge varint
+	f.Add([]byte{0, 0, 1, 2, 0, 2, 0xCD, 0xEF})                               // empty chunk, then a 2-byte one
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := ParsePacket(data); err != nil {
+		p, err := ParsePacket(data)
+		if err != nil {
 			return
 		}
 		r, err := NewReassembler(cfg)
@@ -86,6 +89,15 @@ func FuzzReassembler(f *testing.F) {
 		}
 		if mbStart < 0 || mbStart+len(chunks) > total {
 			t.Fatalf("accepted slice range [%d,%d) outside %d macroblocks", mbStart, mbStart+len(chunks), total)
+		}
+		// And it must hold exactly SliceMBs' chunks, an empty one as a
+		// lost (nil) macroblock.
+		fr := r.Frame(p.FrameNumber)
+		for i, c := range chunks {
+			got := fr.MBData[mbStart+i]
+			if !bytes.Equal(got, c) || (got == nil) != (len(c) == 0) {
+				t.Fatalf("macroblock %d reassembled as %x, want chunk %d = %x", mbStart+i, got, i, c)
+			}
 		}
 	})
 }

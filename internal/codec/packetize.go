@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -54,91 +55,98 @@ func Packetize(ef *EncodedFrame, mtu int) ([]Packet, error) {
 
 // ParsePacket decodes a slice payload back into a Packet with the
 // macroblock chunks attached (stored concatenated in Payload; use
-// SliceMBs to extract them).
+// SliceMBs to extract them). It accepts exactly the payloads
+// Reassembler.Add can parse.
 func ParsePacket(payload []byte) (Packet, error) {
-	p := Packet{Payload: payload}
+	frame, typ, mbStart, mbCount, _, err := walkSlice(payload)
+	if err != nil {
+		return Packet{Payload: payload}, err
+	}
+	return Packet{FrameNumber: frame, Type: typ, MBStart: mbStart, MBCount: mbCount, Payload: payload}, nil
+}
+
+// SliceMBs extracts the macroblock chunks of a slice payload.
+func SliceMBs(payload []byte) (mbStart int, chunks [][]byte, err error) {
+	_, _, mbStart, mbCount, body, err := walkSlice(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	chunks = make([][]byte, mbCount)
+	for i := range chunks {
+		// Cannot fail: walkSlice has walked the same chunks.
+		if chunks[i], body, err = nextChunk(body); err != nil {
+			return 0, nil, err
+		}
+	}
+	return mbStart, chunks, nil
+}
+
+var errSliceVarint = errors.New("codec: bad varint in slice")
+
+// walkSlice is the one slice parser. It reads the header, caps mbStart
+// and mbCount, and walks every chunk length against the bytes left, so a
+// garbled or truncated payload is refused before anything is kept. body
+// is the chunk region: exactly mbCount well-formed (len | bytes) chunks,
+// without any trailing bytes.
+func walkSlice(payload []byte) (frame int, typ FrameType, mbStart, mbCount int, body []byte, err error) {
 	rest := payload
 	get := func() (uint64, error) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return 0, fmt.Errorf("codec: bad varint in slice header")
+			return 0, errSliceVarint
 		}
 		rest = rest[n:]
 		return v, nil
 	}
 	fn, err := get()
 	if err != nil {
-		return p, err
+		return 0, 0, 0, 0, nil, err
 	}
 	ft, err := get()
 	if err != nil {
-		return p, err
+		return 0, 0, 0, 0, nil, err
 	}
 	if ft > uint64(BFrame) {
-		return p, fmt.Errorf("codec: bad frame type %d", ft)
+		return 0, 0, 0, 0, nil, fmt.Errorf("codec: bad frame type %d", ft)
 	}
 	ms, err := get()
 	if err != nil {
-		return p, err
-	}
-	mc, err := get()
-	if err != nil {
-		return p, err
-	}
-	p.FrameNumber = int(fn)
-	p.Type = FrameType(ft)
-	p.MBStart = int(ms)
-	p.MBCount = int(mc)
-	return p, nil
-}
-
-// SliceMBs extracts the macroblock chunks of a parsed slice payload.
-func SliceMBs(payload []byte) (mbStart int, chunks [][]byte, err error) {
-	rest := payload
-	get := func() (uint64, error) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("codec: bad varint in slice")
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	if _, err = get(); err != nil { // frame number
-		return 0, nil, err
-	}
-	if _, err = get(); err != nil { // type
-		return 0, nil, err
-	}
-	ms, err := get()
-	if err != nil {
-		return 0, nil, err
+		return 0, 0, 0, 0, nil, err
 	}
 	if ms > 1<<20 {
 		// Also keeps int(ms) from wrapping negative on a hostile varint,
 		// which would slip past the reassembler's upper-bound check and
 		// index out of range.
-		return 0, nil, fmt.Errorf("codec: implausible slice start %d", ms)
+		return 0, 0, 0, 0, nil, fmt.Errorf("codec: implausible slice start %d", ms)
 	}
 	mc, err := get()
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, 0, 0, nil, err
 	}
 	if mc > 1<<20 {
-		return 0, nil, fmt.Errorf("codec: implausible slice size %d", mc)
+		return 0, 0, 0, 0, nil, fmt.Errorf("codec: implausible slice size %d", mc)
 	}
-	chunks = make([][]byte, mc)
-	for i := range chunks {
-		l, err := get()
-		if err != nil {
-			return 0, nil, err
+	tail := rest
+	for i := 0; i < int(mc); i++ {
+		if _, tail, err = nextChunk(tail); err != nil {
+			return 0, 0, 0, 0, nil, err
 		}
-		if uint64(len(rest)) < l {
-			return 0, nil, fmt.Errorf("codec: slice truncated")
-		}
-		chunks[i] = rest[:l]
-		rest = rest[l:]
 	}
-	return int(ms), chunks, nil
+	return int(fn), FrameType(ft), int(ms), int(mc), rest[:len(rest)-len(tail)], nil
+}
+
+// nextChunk splits the first (len | bytes) chunk off a chunk region. The
+// chunk is cap-clamped, so appending to it never reaches into tail.
+func nextChunk(rest []byte) (chunk, tail []byte, err error) {
+	l, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return nil, nil, errSliceVarint
+	}
+	rest = rest[n:]
+	if uint64(len(rest)) < l {
+		return nil, nil, fmt.Errorf("codec: slice truncated")
+	}
+	return rest[:l:l], rest[l:], nil
 }
 
 // Reassembler collects slice payloads back into per-frame EncodedFrames,
@@ -160,26 +168,31 @@ func NewReassembler(cfg Config) (*Reassembler, error) {
 
 // Add incorporates one received slice payload. Damaged payloads are
 // reported but otherwise ignored (the affected macroblocks stay lost).
+// An accepted payload costs one copy: its chunk region is copied once
+// and the frame's macroblocks point at cap-clamped views of that copy,
+// so payload is reusable as soon as Add returns.
 func (r *Reassembler) Add(payload []byte) error {
-	p, err := ParsePacket(payload)
-	if err != nil {
-		return err
-	}
-	mbStart, chunks, err := SliceMBs(payload)
+	frame, typ, mbStart, mbCount, body, err := walkSlice(payload)
 	if err != nil {
 		return err
 	}
 	total := r.cfg.MBCols() * r.cfg.MBRows()
-	if mbStart < 0 || len(chunks) > total || mbStart > total-len(chunks) {
-		return fmt.Errorf("codec: slice range [%d,%d) exceeds %d macroblocks", mbStart, mbStart+len(chunks), total)
+	if mbStart < 0 || mbCount > total || mbStart > total-mbCount {
+		return fmt.Errorf("codec: slice range [%d,%d) exceeds %d macroblocks", mbStart, mbStart+mbCount, total)
 	}
-	f := r.frames[p.FrameNumber]
+	f := r.frames[frame]
 	if f == nil {
-		f = &EncodedFrame{Number: p.FrameNumber, Type: p.Type, MBData: make([][]byte, total)}
-		r.frames[p.FrameNumber] = f
+		f = &EncodedFrame{Number: frame, Type: typ, MBData: make([][]byte, total)}
+		r.frames[frame] = f
 	}
-	for i, c := range chunks {
-		// The range check above already constrains mbStart+len(chunks)
+	rest := append([]byte(nil), body...)
+	for i := 0; i < mbCount; i++ {
+		var c []byte
+		// Cannot fail: walkSlice has walked the same bytes.
+		if c, rest, err = nextChunk(rest); err != nil {
+			return err
+		}
+		// The range check above already constrains mbStart+mbCount
 		// against total, but total and len(f.MBData) are only equal
 		// while every frame of the session was built by this
 		// reassembler; re-checking against the destination itself keeps
@@ -189,7 +202,10 @@ func (r *Reassembler) Add(payload []byte) error {
 		if j >= len(f.MBData) {
 			return fmt.Errorf("codec: slice chunk %d lands outside %d macroblocks", j, len(f.MBData))
 		}
-		f.MBData[j] = append([]byte(nil), c...)
+		if len(c) == 0 {
+			c = nil // an empty chunk is a lost macroblock
+		}
+		f.MBData[j] = c
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -274,3 +275,145 @@ var errEOFc = errC("EOF")
 type errC string
 
 func (e errC) Error() string { return string(e) }
+
+// clipPayloads packetizes every frame of a small clip.
+func clipPayloads(t testing.TB) (Config, []*EncodedFrame, [][]byte) {
+	t.Helper()
+	clip := video.Generate(video.SceneConfig{W: 96, H: 96, Frames: 12, Motion: video.MotionMedium, Seed: 21})
+	cfg := smallConfig(6)
+	encoded, err := EncodeSequence(clip, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, ef := range encoded {
+		pkts, err := Packetize(ef, 300) // several slices per frame
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			payloads = append(payloads, p.Payload)
+		}
+	}
+	return cfg, encoded, payloads
+}
+
+// TestReassemblerAddAllocs pins the receive side's reassembly cost: a
+// slice of a frame the reassembler already holds costs one allocation,
+// the copy of its chunk region, however many macroblocks it carries.
+func TestReassemblerAddAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg, _, payloads := clipPayloads(t)
+	re, err := NewReassembler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := re.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, p := range payloads {
+			if err := re.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := allocs / float64(len(payloads)); per > 1 {
+		t.Fatalf("Reassembler.Add makes %.2f allocations per payload into existing frames, want <= 1", per)
+	}
+}
+
+// TestReassemblerOwnsItsCopy overwrites every payload after Add: the
+// reassembled frames must not change, because receivers reuse one read
+// buffer for every datagram.
+func TestReassemblerOwnsItsCopy(t *testing.T) {
+	cfg, encoded, payloads := clipPayloads(t)
+	re, err := NewReassembler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 2048)
+	for _, p := range payloads {
+		buf = append(buf[:0], p...)
+		if err := re.Add(buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+	}
+	for i, got := range re.Frames(len(encoded)) {
+		for mb, want := range encoded[i].MBData {
+			if !bytes.Equal(got.MBData[mb], want) {
+				t.Fatalf("frame %d MB %d changed when the payload buffer was reused", i, mb)
+			}
+		}
+	}
+}
+
+// TestReassembledChunksAreCapClamped appends to each reassembled
+// macroblock: the macroblocks share one copy per slice, so an append
+// must reallocate rather than run into its neighbour.
+func TestReassembledChunksAreCapClamped(t *testing.T) {
+	cfg, encoded, payloads := clipPayloads(t)
+	re, err := NewReassembler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := re.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := re.Frame(0)
+	for j := 0; j+1 < len(f.MBData); j++ {
+		_ = append(f.MBData[j], 0xEE, 0xEE, 0xEE, 0xEE)
+		if !bytes.Equal(f.MBData[j+1], encoded[0].MBData[j+1]) {
+			t.Fatalf("appending to MB %d clobbered MB %d", j, j+1)
+		}
+	}
+}
+
+// TestReassemblerEmptyChunkIsLost sends a slice whose middle macroblock
+// has a zero-length chunk: it must reassemble as nil, the decoder's mark
+// of a lost macroblock.
+func TestReassemblerEmptyChunkIsLost(t *testing.T) {
+	cfg := smallConfig(6)
+	ef := &EncodedFrame{Number: 2, Type: PFrame, MBData: make([][]byte, cfg.MBCols()*cfg.MBRows())}
+	ef.MBData[0] = []byte{1, 2}
+	ef.MBData[1] = []byte{}
+	ef.MBData[2] = []byte{3}
+	re, err := NewReassembler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Add(AppendSlice(nil, ef, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	got := re.Frame(2).MBData
+	if !bytes.Equal(got[0], []byte{1, 2}) || got[1] != nil || !bytes.Equal(got[2], []byte{3}) {
+		t.Fatalf("reassembled %x / %x / %x, want 0102 / nil / 03", got[0], got[1], got[2])
+	}
+}
+
+// BenchmarkReassemblerAdd adds a clip's slices over and over into one
+// reassembler: after the first pass every frame exists, so this is the
+// steady-state cost of one payload.
+func BenchmarkReassemblerAdd(b *testing.B) {
+	cfg, _, payloads := clipPayloads(b)
+	re, err := NewReassembler(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := re.Add(payloads[i%len(payloads)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -251,14 +252,15 @@ func shardIndex(ssrc uint32, n int) int {
 
 // readLoop is one worker of the bounded reader pool: it drains datagrams
 // from the shared socket into a persistent buffer and runs the packet
-// path inline. Reassembler.Add copies what it keeps and decrypt works in
-// place, so the buffer is reusable as soon as handle returns — the
-// receive path allocates only when a session retains frame data.
+// path inline. Decrypt works in place and Reassembler.Add makes one copy
+// per accepted payload, so the buffer is reusable as soon as handle
+// returns. The sender address is read as a netip.AddrPort value, so a
+// datagram costs that one copy plus whatever new frame state it opens.
 func (s *IngestServer) readLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, 65536)
 	for {
-		n, from, err := s.conn.ReadFromUDP(buf)
+		n, from, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -266,7 +268,7 @@ func (s *IngestServer) readLoop() {
 	}
 }
 
-func (s *IngestServer) handle(data []byte, from *net.UDPAddr) {
+func (s *IngestServer) handle(data []byte, from netip.AddrPort) {
 	if ssrc, ok := parseFIN(data); ok {
 		s.finish(ssrc, false)
 		return
@@ -286,7 +288,7 @@ func (s *IngestServer) handle(data []byte, from *net.UDPAddr) {
 		mIngestRejected.Inc()
 		ledger.Emit(ledger.EventReject, "ingest", uint64(pkt.SSRC), 0, "session cap")
 		if s.rejects.Allow() {
-			s.conn.WriteToUDP(marshalReject(s.cfg.RetryAfter), from) //nolint:errcheck // best effort, like the medium
+			s.conn.WriteToUDPAddrPort(marshalReject(s.cfg.RetryAfter), from) //nolint:errcheck // best effort, like the medium
 		}
 		return
 	}

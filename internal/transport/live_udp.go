@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -186,7 +187,7 @@ type LiveReceiver struct {
 	nackFloor uint64 // sequences below this are never NACKed again
 	nackTry   map[uint64]int
 	nackAt    map[uint64]time.Time // first-NACK time per missing sequence
-	nackFrom  *net.UDPAddr         // sender address learned from arrivals
+	nackFrom  netip.AddrPort       // sender address learned from arrivals
 }
 
 // SetHeaderOnlyBytes tells the receiver the sender uses a header-only
@@ -293,7 +294,7 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 		r.mu.Lock()
 		peer := r.nackFrom
 		var missing []uint64
-		if r.maxSeq > 0 && peer != nil {
+		if r.maxSeq > 0 && peer.IsValid() {
 			// Snap the floor into the scan window first, dropping the
 			// bookkeeping of everything it abandons so the maps stay
 			// bounded by the window.
@@ -322,7 +323,7 @@ func (r *LiveReceiver) nackLoop(interval time.Duration) {
 		r.mu.Unlock()
 		if len(missing) > 0 {
 			mNACKsRequested.Add(int64(len(missing)))
-			r.conn.WriteToUDP(marshalNACK(missing), peer) //nolint:errcheck // best effort, like the medium
+			r.conn.WriteToUDPAddrPort(marshalNACK(missing), peer) //nolint:errcheck // best effort, like the medium
 		}
 	}
 }
@@ -361,7 +362,7 @@ func (r *LiveReceiver) loop() {
 	}()
 	buf := make([]byte, 65536)
 	for {
-		n, from, err := r.conn.ReadFromUDP(buf)
+		n, from, err := r.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
@@ -371,7 +372,7 @@ func (r *LiveReceiver) loop() {
 
 // handle runs one datagram through the receiver. The payload is opened
 // in place, so data is reusable as soon as handle returns.
-func (r *LiveReceiver) handle(data []byte, from *net.UDPAddr) {
+func (r *LiveReceiver) handle(data []byte, from netip.AddrPort) {
 	pkt, err := rtp.Parse(data)
 	if err != nil {
 		return

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestLiveReceiverReorderedWrapDecrypts(t *testing.T) {
 	seqs := []uint64{65534, 65535, 65536, 65537, 65533}
 	payloads := regressPayloads(t, s, len(seqs))
 	for i, seq64 := range seqs {
-		rx.handle(craftedDatagram(cipher, seq64, payloads[i]), nil)
+		rx.handle(craftedDatagram(cipher, seq64, payloads[i]), netip.AddrPort{})
 	}
 	captured, usable := rx.Stats()
 	if captured != len(seqs) {

@@ -12,8 +12,9 @@ import (
 // a marked payload is decrypted in place under seq — only the
 // header-only prefix when hdrOnly > 0 — and without a key (c == nil) it
 // is an erasure; the payload is then reassembled. It reports whether the
-// payload reassembled cleanly. The reassembler copies what it keeps, so
-// payload is reusable as soon as openPacket returns.
+// payload reassembled cleanly. The reassembler makes one copy of each
+// payload it accepts and keeps views into that copy, never into payload,
+// so payload is reusable as soon as openPacket returns.
 func openPacket(asm *codec.Reassembler, c *vcrypt.Cipher, hdrOnly int, seq uint64, encrypted bool, payload []byte) bool {
 	if encrypted {
 		if c == nil {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"net/netip"
 	"runtime"
 	"testing"
 	"time"
@@ -118,8 +119,8 @@ func TestLiveReceiverAndIngestAgree(t *testing.T) {
 			for _, d := range list {
 				// Both front ends open payloads in place: each gets its
 				// own copy of the datagram.
-				rx.handle(append([]byte(nil), d...), nil)
-				srv.handle(append([]byte(nil), d...), nil)
+				rx.handle(append([]byte(nil), d...), netip.AddrPort{})
+				srv.handle(append([]byte(nil), d...), netip.AddrPort{})
 			}
 			st, ok := srv.SessionStats(0x7561)
 			if !ok {

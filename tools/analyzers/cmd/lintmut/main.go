@@ -318,8 +318,8 @@ var mutants = []mutant{
 		ID: "netbound-reasm-unchecked", Analyzer: netbound.Analyzer,
 		File: "internal/codec/packetize.go",
 		Patches: []patch{{
-			Old: "\t\tj := mbStart + i\n\t\tif j >= len(f.MBData) {\n\t\t\treturn fmt.Errorf(\"codec: slice chunk %d lands outside %d macroblocks\", j, len(f.MBData))\n\t\t}\n\t\tf.MBData[j] = append([]byte(nil), c...)",
-			New: "\t\tf.MBData[mbStart+i] = append([]byte(nil), c...)",
+			Old: "\t\tj := mbStart + i\n\t\tif j >= len(f.MBData) {\n\t\t\treturn fmt.Errorf(\"codec: slice chunk %d lands outside %d macroblocks\", j, len(f.MBData))\n\t\t}\n\t\tif len(c) == 0 {\n\t\t\tc = nil // an empty chunk is a lost macroblock\n\t\t}\n\t\tf.MBData[j] = c",
+			New: "\t\tf.MBData[mbStart+i] = c",
 		}},
 		Desc: "the reassembler indexes its frame buffer with a wire-decoded offset and no local bounds proof",
 	},
@@ -346,10 +346,10 @@ var mutants = []mutant{
 		ID: "netbound-slice-trunc", Analyzer: netbound.Analyzer,
 		File: "internal/codec/packetize.go",
 		Patches: []patch{{
-			Old: "\t\tif uint64(len(rest)) < l {\n\t\t\treturn 0, nil, fmt.Errorf(\"codec: slice truncated\")\n\t\t}\n\t\tchunks[i] = rest[:l]",
-			New: "\t\tchunks[i] = rest[:l]",
+			Old: "\tif uint64(len(rest)) < l {\n\t\treturn nil, nil, fmt.Errorf(\"codec: slice truncated\")\n\t}\n\treturn rest[:l:l], rest[l:], nil",
+			New: "\treturn rest[:l:l], rest[l:], nil",
 		}},
-		Desc: "SliceMBs slices chunk bytes by a wire length with the truncation guard removed",
+		Desc: "the slice parser cuts chunk bytes by a wire length with the truncation guard removed",
 	},
 
 	// --- seqwrap: no raw ordering arithmetic on wrapping counters ---

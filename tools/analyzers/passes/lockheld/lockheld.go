@@ -73,8 +73,10 @@ var blockingIntrinsics = []struct {
 	{lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "Write"}, "net.UDPConn.Write"},
 	{lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "ReadFrom"}, "net.UDPConn.ReadFrom"},
 	{lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "ReadFromUDP"}, "net.UDPConn.ReadFromUDP"},
+	{lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "ReadFromUDPAddrPort"}, "net.UDPConn.ReadFromUDPAddrPort"},
 	{lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "WriteTo"}, "net.UDPConn.WriteTo"},
 	{lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "WriteToUDP"}, "net.UDPConn.WriteToUDP"},
+	{lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "WriteToUDPAddrPort"}, "net.UDPConn.WriteToUDPAddrPort"},
 	{lintkit.FuncMatch{Path: "net", Recv: "TCPConn", Name: "Read"}, "net.TCPConn.Read"},
 	{lintkit.FuncMatch{Path: "net", Recv: "TCPConn", Name: "Write"}, "net.TCPConn.Write"},
 	{lintkit.FuncMatch{Path: "net", Recv: "Listener", Name: "Accept"}, "net.Listener.Accept"},

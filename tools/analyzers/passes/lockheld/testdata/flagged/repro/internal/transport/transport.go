@@ -99,3 +99,12 @@ func (s *sender) DoubleLocked() {
 func (s *sender) WaitNoLock(c *sync.Cond) {
 	c.Wait() // want `sync\.Cond\.Wait called without holding any lock`
 }
+
+// ReplyLocked reads a datagram and answers its sender with the lock
+// held, through the netip.AddrPort forms of the UDP calls.
+func (s *sender) ReplyLocked(c *net.UDPConn, b []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, from, _ := c.ReadFromUDPAddrPort(b) // want `s\.mu held across blocking call to net\.UDPConn\.ReadFromUDPAddrPort`
+	c.WriteToUDPAddrPort(b, from)          // want `s\.mu held across blocking call to net\.UDPConn\.WriteToUDPAddrPort`
+}

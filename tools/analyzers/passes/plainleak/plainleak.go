@@ -49,6 +49,7 @@ var spec = &lintkit.TaintSpec{
 		{Match: lintkit.FuncMatch{Path: "net", Recv: "conn", Name: "Write"}, Args: []int{1}, What: "net.Conn.Write"},
 		{Match: lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "Write"}, Args: []int{1}, What: "net.UDPConn.Write"},
 		{Match: lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "WriteToUDP"}, Args: []int{1}, What: "net.UDPConn.WriteToUDP"},
+		{Match: lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "WriteToUDPAddrPort"}, Args: []int{1}, What: "net.UDPConn.WriteToUDPAddrPort"},
 		{Match: lintkit.FuncMatch{Path: "net", Recv: "UDPConn", Name: "WriteTo"}, Args: []int{1}, What: "net.UDPConn.WriteTo"},
 		{Match: lintkit.FuncMatch{Path: "net", Recv: "TCPConn", Name: "Write"}, Args: []int{1}, What: "net.TCPConn.Write"},
 		{Match: lintkit.FuncMatch{Path: "io", Recv: "Writer", Name: "Write"}, Args: []int{1}, What: "io.Writer.Write"},

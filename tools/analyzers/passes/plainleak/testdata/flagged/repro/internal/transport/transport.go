@@ -4,6 +4,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 
 	"repro/internal/buffer"
 	"repro/internal/codec"
@@ -115,5 +116,20 @@ func SendBatchLate(conn net.Conn, c *vcrypt.Cipher, frame []byte) error {
 		}
 	}
 	c.EncryptPackets(0, payloads)
+	return nil
+}
+
+// ReplyRaw answers a peer with a plaintext payload through the
+// netip.AddrPort form of the UDP write.
+func ReplyRaw(conn *net.UDPConn, to netip.AddrPort, frame []byte) error {
+	pkts, err := codec.Packetize(frame, 1200)
+	if err != nil {
+		return err
+	}
+	for _, p := range pkts {
+		if _, err := conn.WriteToUDPAddrPort(p.Payload, to); err != nil { // want `plaintext packet payload reaches net\.UDPConn\.WriteToUDPAddrPort`
+			return err
+		}
+	}
 	return nil
 }
