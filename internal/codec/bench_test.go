@@ -52,13 +52,73 @@ func BenchmarkMotionSearch(b *testing.B) {
 	src, ref := clip[1], clip[0]
 	starts := [][2]int{{1, 0}, {0, 1}}
 	cols, rows := cfg.MBCols(), cfg.MBRows()
+	var seen visitSet
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mb := i % (cols * rows)
-		motionSearch(src, ref, (mb%cols)*mbSize, (mb/cols)*mbSize, cfg, starts)
+		motionSearch(&seen, src, ref, (mb%cols)*mbSize, (mb/cols)*mbSize, cfg, starts)
 	}
 }
+
+// BenchmarkSADMB times one full (no early exit) 16x16 SAD of a CIF
+// macroblock, with the displaced block inside the reference (the
+// word-at-a-time path) and overlapping its edge (the clamped path).
+func BenchmarkSADMB(b *testing.B) {
+	clip := benchFrames(b, 2)
+	src, ref := clip[1], clip[0]
+	for _, bc := range []struct {
+		name           string
+		x0, y0, dx, dy int
+	}{{"interior", 160, 128, 3, -2}, {"edge", 0, 0, -3, -2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += sadMB(src, ref, bc.x0, bc.y0, bc.dx, bc.dy)
+			}
+		})
+	}
+}
+
+// BenchmarkQuantiseBlock times DCT + quantisation of one 8x8 block,
+// cycling through the blocks of a real CIF frame coded as an I-frame
+// (pixel blocks, large coefficients of either sign) and as a P-frame
+// (motion-compensated residuals, mostly small coefficients).
+func BenchmarkQuantiseBlock(b *testing.B) {
+	clip := benchFrames(b, 2)
+	cfg := DefaultConfig(30)
+	cols, rows := cfg.MBCols(), cfg.MBRows()
+	var rb rowBatch
+	rb.resize(blocksPerMB * cols)
+	var seen visitSet
+	for _, bc := range []struct {
+		name string
+		q    float64
+	}{{"intra", cfg.QI}, {"inter", cfg.QP}} {
+		var blocks [][64]float64
+		for my := 0; my < rows; my++ {
+			for mx := 0; mx < cols; mx++ {
+				if bc.name == "intra" {
+					gatherIntraMB(&rb, clip[1], mx, my)
+					continue
+				}
+				dx, dy := motionSearch(&seen, clip[1], clip[0], mx*mbSize, my*mbSize, cfg, nil)
+				gatherInterMB(&rb, clip[1], clip[0], mx, my, dx, dy)
+			}
+			blocks = append(blocks, rb.samples...)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			var quant [64]int32
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += quantiseBlock(&blocks[i%len(blocks)], bc.q, &quant)
+			}
+		})
+	}
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink int
 
 // BenchmarkEncodeMetricsOff/On measure the instrumentation tax on the
 // hottest path (P-frame encode). Off is the shipping default — the only

@@ -153,8 +153,8 @@ func biPredictLuma(fwd, bwd *video.Frame, mode, x0, y0, fdx, fdy, bdx, bdy int, 
 func encodeBMB(sc *mbScratch, src, fwd, bwd *video.Frame, mx, my int, cfg Config) {
 	w := &sc.w
 	x0, y0 := mx*mbSize, my*mbSize
-	fdx, fdy := motionSearch(src, fwd, x0, y0, cfg, nil)
-	bdx, bdy := motionSearch(src, bwd, x0, y0, cfg, nil)
+	fdx, fdy := motionSearch(&sc.seen, src, fwd, x0, y0, cfg, nil)
+	bdx, bdy := motionSearch(&sc.seen, src, bwd, x0, y0, cfg, nil)
 	sadF := sadMB(src, fwd, x0, y0, fdx, fdy)
 	sadB := sadMB(src, bwd, x0, y0, bdx, bdy)
 	sadBi := sadBiMB(src, fwd, bwd, x0, y0, fdx, fdy, bdx, bdy)
@@ -209,11 +209,11 @@ func sadBiMB(src, fwd, bwd *video.Frame, x0, y0, fdx, fdy, bdx, bdy int) int {
 func bChromaPredict(fwdP, bwdP []byte, cw, ch, mode, x, y, fdx, fdy, bdx, bdy int) float64 {
 	switch mode {
 	case bModeFwd:
-		return chromaAt(fwdP, cw, ch, x+fdx, y+fdy)
+		return planeAt(fwdP, cw, ch, x+fdx, y+fdy)
 	case bModeBwd:
-		return chromaAt(bwdP, cw, ch, x+bdx, y+bdy)
+		return planeAt(bwdP, cw, ch, x+bdx, y+bdy)
 	default:
-		return 0.5 * (chromaAt(fwdP, cw, ch, x+fdx, y+fdy) + chromaAt(bwdP, cw, ch, x+bdx, y+bdy))
+		return 0.5 * (planeAt(fwdP, cw, ch, x+fdx, y+fdy) + planeAt(bwdP, cw, ch, x+bdx, y+bdy))
 	}
 }
 

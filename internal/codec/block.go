@@ -1,5 +1,7 @@
 package codec
 
+import "math"
+
 // Transform-block coding: DCT -> frequency-ramped uniform quantisation ->
 // zig-zag run-length -> Exp-Golomb entropy coding, and the exact inverse.
 // Every block is independently decodable given its bit position, and the
@@ -28,16 +30,20 @@ func encodeBlock(w *bitWriter, samples *[64]float64, q float64, recon *[64]float
 func quantiseBlock(samples *[64]float64, q float64, quant *[64]int32) int {
 	var coeff [64]float64
 	fdct8(samples, &coeff)
+	return quantiseCoeffs(&coeff, q, quant)
+}
+
+// quantiseCoeffs is the quantisation half of quantiseBlock, on raster
+// DCT coefficients.
+func quantiseCoeffs(coeff *[64]float64, q float64, quant *[64]int32) int {
 	nonzero := -1
 	invQ := 1 / q
 	for zz := 0; zz < 64; zz++ {
 		v := coeff[zigzag[zz]] * invQ * invQuantRamp[zz]
-		var iv int32
-		if v >= 0 {
-			iv = int32(v + 0.5)
-		} else {
-			iv = int32(v - 0.5)
-		}
+		// Round half away from zero without a sign branch: v+0.5 for
+		// v >= 0 (and -0), v-0.5 below, truncated towards zero. The
+		// nonzero update compiles to a conditional move.
+		iv := int32(v + math.Copysign(0.5, v))
 		quant[zz] = iv
 		if iv != 0 {
 			nonzero = zz

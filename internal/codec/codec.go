@@ -35,6 +35,9 @@ func (t FrameType) String() string {
 // mbSize is the macroblock size (16x16 luma, 8x8 per chroma plane).
 const mbSize = 16
 
+// maxSearchRange is the largest Config.SearchRange.
+const maxSearchRange = 64
+
 // errCorrupt is returned when a bitstream decodes to impossible values;
 // the affected macroblock is concealed.
 var errCorrupt = errors.New("codec: corrupt bitstream")
@@ -92,8 +95,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("codec: GOP size %d", c.GOPSize)
 	case c.QI <= 0 || c.QP <= 0:
 		return fmt.Errorf("codec: quantisation steps must be positive")
-	case c.SearchRange < 0 || c.SearchRange > 64:
-		return fmt.Errorf("codec: search range %d out of [0,64]", c.SearchRange)
+	case c.SearchRange < 0 || c.SearchRange > maxSearchRange:
+		return fmt.Errorf("codec: search range %d out of [0,%d]", c.SearchRange, maxSearchRange)
 	case c.Workers < 0:
 		return fmt.Errorf("codec: negative worker count %d", c.Workers)
 	}

@@ -53,7 +53,7 @@ const (
 	aanI2  = 1.4142135623730951 // sqrt(2)
 	aanI5  = 1.8477590650225735 // 2*cos(2*pi/16)
 	aanI10 = 1.0823922002923938 // 2*cos(6*pi/16)
-	aanI12 = -2.613125929752753 // -(2*cos(2*pi/16) + 2*cos(6*pi/16) - ... ) AAN odd-part constant
+	aanI12 = -2.613125929752753 // -(2*cos(2*pi/16) + 2*cos(6*pi/16))
 )
 
 // fdct8 computes the 2-D orthonormal DCT-II of an 8x8 block (row-major

@@ -1,6 +1,10 @@
 package codec
 
-import "repro/internal/video"
+import (
+	"encoding/binary"
+
+	"repro/internal/video"
+)
 
 // Macroblock coding. Each macroblock is 16x16 luma (four 8x8 transform
 // blocks) plus one 8x8 block in each half-resolution chroma plane. Intra
@@ -30,30 +34,8 @@ func storeBlock(plane []byte, stride, x0, y0 int, bias float64, recon *[64]float
 	}
 }
 
-// encodeIntraMB codes one intra macroblock and writes its reconstruction.
-// The bitstream goes to sc.w; sample buffers come from sc so the hot path
-// stays allocation-free.
-func encodeIntraMB(sc *mbScratch, src, recon *video.Frame, mx, my int, q float64) {
-	w, samples, rec := &sc.w, &sc.samples, &sc.rec
-	x0, y0 := mx*mbSize, my*mbSize
-	for by := 0; by < 2; by++ {
-		for bx := 0; bx < 2; bx++ {
-			loadBlock(src.Y, src.W, x0+bx*blockSize, y0+by*blockSize, 128, samples)
-			encodeBlock(w, samples, q, rec)
-			storeBlock(recon.Y, recon.W, x0+bx*blockSize, y0+by*blockSize, 128, rec)
-		}
-	}
-	cw := src.W / 2
-	cx0, cy0 := x0/2, y0/2
-	loadBlock(src.Cb, cw, cx0, cy0, 128, samples)
-	encodeBlock(w, samples, q*1.2, rec)
-	storeBlock(recon.Cb, cw, cx0, cy0, 128, rec)
-	loadBlock(src.Cr, cw, cx0, cy0, 128, samples)
-	encodeBlock(w, samples, q*1.2, rec)
-	storeBlock(recon.Cr, cw, cx0, cy0, 128, rec)
-}
-
-// decodeIntraMB reverses encodeIntraMB.
+// decodeIntraMB reverses the intra macroblock coding of gatherIntraMB
+// and emitMB.
 func decodeIntraMB(r *bitReader, out *video.Frame, mx, my int, q float64) error {
 	x0, y0 := mx*mbSize, my*mbSize
 	var rec [64]float64
@@ -91,67 +73,126 @@ func sadMB(src, ref *video.Frame, x0, y0, dx, dy int) int {
 // sadMBLimit is sadMB with a row-granular early exit: once the partial sum
 // reaches limit the (partial, >= limit) value is returned. Callers that
 // compare with a strict `< best` see exactly the selections the full sum
-// would give, because any bailed candidate already lost. Displacements
-// that keep the whole block inside the reference skip the per-pixel edge
-// clamping.
+// would give, because any bailed candidate already lost.
+//
+// Each row is summed eight pixels at a time by sadWord. A reference row
+// that lies above or below the frame is the clamped edge row; only when
+// the displaced block straddles the left or right edge are the row's
+// sixteen reference pixels gathered one by one with clamping.
 func sadMBLimit(src, ref *video.Frame, x0, y0, dx, dy, limit int) int {
-	var sad int
 	rx0, ry0 := x0+dx, y0+dy
-	if rx0 >= 0 && ry0 >= 0 && rx0+mbSize <= ref.W && ry0+mbSize <= ref.H {
-		for y := 0; y < mbSize; y++ {
-			so := (y0+y)*src.W + x0
-			ro := (ry0+y)*ref.W + rx0
-			srow := src.Y[so : so+mbSize]
-			rrow := ref.Y[ro : ro+mbSize]
-			for x := 0; x < mbSize; x++ {
-				d := int(srow[x]) - int(rrow[x])
-				if d < 0 {
-					d = -d
-				}
-				sad += d
-			}
-			if sad >= limit {
-				return sad
-			}
-		}
-		return sad
-	}
+	inside := rx0 >= 0 && rx0+mbSize <= ref.W
+	var edge [mbSize]byte
+	// lanes holds four 16-bit running sums. A lane gains at most 4*255
+	// per row, so after 16 rows each lane is below 2^14 and the four
+	// lanes together below 2^16: folding them with one multiply into the
+	// top lane never carries out of it.
+	var lanes uint64
 	for y := 0; y < mbSize; y++ {
-		sy := y0 + y
-		for x := 0; x < mbSize; x++ {
-			s := int(src.Y[sy*src.W+x0+x])
-			r := int(ref.LumaAt(x0+x+dx, sy+dy))
-			d := s - r
-			if d < 0 {
-				d = -d
+		so := (y0+y)*src.W + x0
+		srow := src.Y[so : so+mbSize : so+mbSize]
+		ro := min(max(ry0+y, 0), ref.H-1) * ref.W
+		var rrow []byte
+		if inside {
+			rrow = ref.Y[ro+rx0 : ro+rx0+mbSize : ro+rx0+mbSize]
+		} else {
+			row := ref.Y[ro : ro+ref.W]
+			for x := range edge {
+				edge[x] = row[min(max(rx0+x, 0), ref.W-1)]
 			}
-			sad += d
+			rrow = edge[:]
 		}
-		if sad >= limit {
+		lanes += sadWord(binary.LittleEndian.Uint64(srow[:8]), binary.LittleEndian.Uint64(rrow[:8])) +
+			sadWord(binary.LittleEndian.Uint64(srow[8:]), binary.LittleEndian.Uint64(rrow[8:]))
+		if sad := int(lanes * swarOnes >> 48); sad >= limit {
 			return sad
 		}
 	}
-	return sad
+	return int(lanes * swarOnes >> 48)
+}
+
+// SWAR constants: the low byte of every 16-bit lane, a one in every
+// lane, and 0x100 in every lane.
+const (
+	swarLow  = 0x00FF00FF00FF00FF
+	swarOnes = 0x0001000100010001
+	swarBias = 0x0100010001000100
+)
+
+// sadWord returns the absolute differences of the eight byte pairs of s
+// and r, summed pairwise into four 16-bit lanes (each at most 2*255).
+// The even and odd bytes are spread into 16-bit lanes and biased by
+// 0x100, so (s|0x100) - r lies in [1, 511] and no lane borrows from its
+// neighbour; bit 8 of the result is set exactly when s >= r. The low
+// byte is then s-r, or 256-(r-s), whose 8-bit negation (x^0xFF)+1 is
+// r-s, so the absolute value needs no per-pixel branch.
+func sadWord(s, r uint64) uint64 {
+	te := (s&swarLow | swarBias) - r&swarLow
+	to := (s>>8&swarLow | swarBias) - r>>8&swarLow
+	ne := te>>8&swarOnes ^ swarOnes // 1 where the even byte of s < r
+	no := to>>8&swarOnes ^ swarOnes
+	return (te&swarLow ^ ne*0xFF) + ne + (to&swarLow ^ no*0xFF) + no
 }
 
 // largeDiamond and smallDiamond are the classic DS motion-search patterns.
 var largeDiamond = [][2]int{{0, -2}, {-1, -1}, {1, -1}, {-2, 0}, {2, 0}, {-1, 1}, {1, 1}, {0, 2}}
 var smallDiamond = [][2]int{{0, -1}, {-1, 0}, {1, 0}, {0, 1}}
 
+// visitSet records which displacements one diamond search has scored.
+// It is a grid of stamps over the largest window Validate allows; each
+// search bumps the stamp instead of clearing the grid, so a test-and-mark
+// is one load and one store, and nothing is allocated per search.
+type visitSet struct {
+	stamp uint16
+	seen  [(2*maxSearchRange + 1) * (2*maxSearchRange + 1)]uint16
+}
+
+// reset starts a new search.
+func (v *visitSet) reset() {
+	v.stamp++
+	if v.stamp == 0 {
+		// Wrapped: stale stamps could now match, so clear them (once
+		// every 65535 searches).
+		clear(v.seen[:])
+		v.stamp = 1
+	}
+}
+
+// first marks (dx, dy), which must lie within ±maxSearchRange, and
+// reports whether this search had not scored it yet.
+func (v *visitSet) first(dx, dy int) bool {
+	i := (dy+maxSearchRange)*(2*maxSearchRange+1) + dx + maxSearchRange
+	if v.seen[i] == v.stamp {
+		return false
+	}
+	v.seen[i] = v.stamp
+	return true
+}
+
 // motionSearch finds an integer-pel motion vector for the macroblock.
 // starts lists predictor candidates (neighbour and co-located vectors)
 // seeded alongside (0,0); on textured content the SAD surface only has a
 // basin near the true displacement, so good predictors are what make the
 // diamond search competitive with full search.
-func motionSearch(src, ref *video.Frame, x0, y0 int, cfg Config, starts [][2]int) (int, int) {
-	if cfg.SearchRange == 0 {
+//
+// The diamond search scores each displacement at most once (seen):
+// overlapping diamonds, repeated predictors and the final small diamond
+// would otherwise re-score about one in six of the in-range points on
+// CIF clips. A repeat can never be selected. best never increases, and
+// a point scored earlier either lost (its SAD, or the partial sum it
+// bailed at, was already >= the best of that moment, hence >= today's)
+// or won (so today's best is <= its SAD); either way the strict
+// `s < best` test fails again. Skipping it changes no vector.
+func motionSearch(seen *visitSet, src, ref *video.Frame, x0, y0 int, cfg Config, starts [][2]int) (int, int) {
+	r := cfg.SearchRange
+	if r == 0 {
 		return 0, 0
 	}
 	if cfg.FullSearch {
 		bestDX, bestDY := 0, 0
 		best := sadMB(src, ref, x0, y0, 0, 0)
-		for dy := -cfg.SearchRange; dy <= cfg.SearchRange; dy++ {
-			for dx := -cfg.SearchRange; dx <= cfg.SearchRange; dx++ {
+		for dy := -r; dy <= r; dy++ {
+			for dx := -r; dx <= r; dx++ {
 				if s := sadMBLimit(src, ref, x0, y0, dx, dy, best); s < best {
 					best, bestDX, bestDY = s, dx, dy
 				}
@@ -160,160 +201,100 @@ func motionSearch(src, ref *video.Frame, x0, y0 int, cfg Config, starts [][2]int
 		return bestDX, bestDY
 	}
 	// Diamond search from the best candidate.
+	seen.reset()
+	seen.first(0, 0)
 	cx, cy := 0, 0
 	best := sadMB(src, ref, x0, y0, 0, 0)
-	for _, st := range starts {
-		dx, dy := st[0], st[1]
-		if dx == 0 && dy == 0 {
-			continue
-		}
-		if dx < -cfg.SearchRange || dx > cfg.SearchRange || dy < -cfg.SearchRange || dy > cfg.SearchRange {
-			continue
+	try := func(dx, dy int) bool {
+		if dx < -r || dx > r || dy < -r || dy > r || !seen.first(dx, dy) {
+			return false
 		}
 		if s := sadMBLimit(src, ref, x0, y0, dx, dy, best); s < best {
 			best, cx, cy = s, dx, dy
+			return true
 		}
+		return false
 	}
-	for {
-		improved := false
+	for _, st := range starts {
+		try(st[0], st[1])
+	}
+	for improved := true; improved; {
+		improved = false
 		for _, d := range largeDiamond {
-			dx, dy := cx+d[0], cy+d[1]
-			if dx < -cfg.SearchRange || dx > cfg.SearchRange || dy < -cfg.SearchRange || dy > cfg.SearchRange {
-				continue
+			// cx, cy move as soon as a point improves, and later points
+			// of the same pass are taken around the new centre.
+			if try(cx+d[0], cy+d[1]) {
+				improved = true
 			}
-			if s := sadMBLimit(src, ref, x0, y0, dx, dy, best); s < best {
-				best, cx, cy, improved = s, dx, dy, true
-			}
-		}
-		if !improved {
-			break
 		}
 	}
 	for _, d := range smallDiamond {
-		dx, dy := cx+d[0], cy+d[1]
-		if dx < -cfg.SearchRange || dx > cfg.SearchRange || dy < -cfg.SearchRange || dy > cfg.SearchRange {
-			continue
-		}
-		if s := sadMBLimit(src, ref, x0, y0, dx, dy, best); s < best {
-			best, cx, cy = s, dx, dy
-		}
+		try(cx+d[0], cy+d[1])
 	}
 	return cx, cy
 }
 
 // loadResidual fills samples with source minus motion-compensated
-// reference for one 8x8 luma block. Blocks whose displaced footprint lies
-// fully inside the reference skip the per-pixel edge clamping of LumaAt.
-func loadResidual(src, ref *video.Frame, x0, y0, dx, dy int, samples *[64]float64) {
+// reference for one 8x8 block of a w x h plane (luma or chroma). Blocks
+// whose displaced footprint lies fully inside the reference skip the
+// per-pixel edge clamping of planeAt.
+func loadResidual(src, ref []byte, w, h, x0, y0, dx, dy int, samples *[64]float64) {
 	rx0, ry0 := x0+dx, y0+dy
-	if rx0 >= 0 && ry0 >= 0 && rx0+blockSize <= ref.W && ry0+blockSize <= ref.H {
+	if rx0 >= 0 && ry0 >= 0 && rx0+blockSize <= w && ry0+blockSize <= h {
 		for y := 0; y < blockSize; y++ {
-			so := (y0+y)*src.W + x0
-			ro := (ry0+y)*ref.W + rx0
-			srow := src.Y[so : so+blockSize]
-			rrow := ref.Y[ro : ro+blockSize]
-			for x := 0; x < blockSize; x++ {
-				samples[y*blockSize+x] = float64(srow[x]) - float64(rrow[x])
+			so := (y0+y)*w + x0
+			ro := (ry0+y)*w + rx0
+			srow := src[so : so+blockSize : so+blockSize]
+			rrow := ref[ro : ro+blockSize : ro+blockSize]
+			out := samples[y*blockSize : y*blockSize+blockSize : y*blockSize+blockSize]
+			for x := range out {
+				// One conversion of the exact integer difference.
+				out[x] = float64(int(srow[x]) - int(rrow[x]))
 			}
 		}
 		return
 	}
 	for y := 0; y < blockSize; y++ {
 		for x := 0; x < blockSize; x++ {
-			s := float64(src.Y[(y0+y)*src.W+x0+x])
-			r := float64(ref.LumaAt(x0+x+dx, y0+y+dy))
-			samples[y*blockSize+x] = s - r
+			s := float64(src[(y0+y)*w+x0+x])
+			samples[y*blockSize+x] = s - planeAt(ref, w, h, x0+x+dx, y0+y+dy)
 		}
 	}
 }
 
-// storeCompensated writes prediction+residual into the output luma plane,
-// with the same interior fast path as loadResidual.
-func storeCompensated(out, ref *video.Frame, x0, y0, dx, dy int, rec *[64]float64) {
+// storeCompensated writes prediction+residual into one 8x8 block of a
+// w x h output plane, with the same interior fast path as loadResidual.
+func storeCompensated(out, ref []byte, w, h, x0, y0, dx, dy int, rec *[64]float64) {
 	rx0, ry0 := x0+dx, y0+dy
-	if rx0 >= 0 && ry0 >= 0 && rx0+blockSize <= ref.W && ry0+blockSize <= ref.H {
+	if rx0 >= 0 && ry0 >= 0 && rx0+blockSize <= w && ry0+blockSize <= h {
 		for y := 0; y < blockSize; y++ {
-			oo := (y0+y)*out.W + x0
-			ro := (ry0+y)*ref.W + rx0
-			orow := out.Y[oo : oo+blockSize]
-			rrow := ref.Y[ro : ro+blockSize]
-			for x := 0; x < blockSize; x++ {
-				orow[x] = clampByte(float64(rrow[x]) + rec[y*blockSize+x])
+			oo := (y0+y)*w + x0
+			ro := (ry0+y)*w + rx0
+			orow := out[oo : oo+blockSize : oo+blockSize]
+			rrow := ref[ro : ro+blockSize : ro+blockSize]
+			res := rec[y*blockSize : y*blockSize+blockSize : y*blockSize+blockSize]
+			for x := range orow {
+				orow[x] = clampByte(float64(rrow[x]) + res[x])
 			}
 		}
 		return
 	}
 	for y := 0; y < blockSize; y++ {
 		for x := 0; x < blockSize; x++ {
-			p := float64(ref.LumaAt(x0+x+dx, y0+y+dy))
-			out.Y[(y0+y)*out.W+x0+x] = clampByte(p + rec[y*blockSize+x])
+			p := planeAt(ref, w, h, x0+x+dx, y0+y+dy)
+			out[(y0+y)*w+x0+x] = clampByte(p + rec[y*blockSize+x])
 		}
 	}
 }
 
-// chromaAt reads a chroma sample with clamping.
-func chromaAt(plane []byte, cw, ch, x, y int) float64 {
-	if x < 0 {
-		x = 0
-	}
-	if x >= cw {
-		x = cw - 1
-	}
-	if y < 0 {
-		y = 0
-	}
-	if y >= ch {
-		y = ch - 1
-	}
-	return float64(plane[y*cw+x])
+// planeAt reads a sample of a w x h plane, clamping the coordinates at
+// the plane edge.
+func planeAt(plane []byte, w, h, x, y int) float64 {
+	return float64(plane[min(max(y, 0), h-1)*w+min(max(x, 0), w-1)])
 }
 
-// encodeInterMB codes one predicted macroblock: motion vector plus
-// residual blocks for luma and chroma. It returns the chosen motion
-// vector so the encoder can seed its neighbour predictors. The bitstream
-// goes to sc.w; sample buffers come from sc.
-func encodeInterMB(sc *mbScratch, src, ref, recon *video.Frame, mx, my int, cfg Config, starts [][2]int) (int, int) {
-	w, samples, rec := &sc.w, &sc.samples, &sc.rec
-	x0, y0 := mx*mbSize, my*mbSize
-	dx, dy := motionSearch(src, ref, x0, y0, cfg, starts)
-	w.writeSE(int64(dx))
-	w.writeSE(int64(dy))
-	for by := 0; by < 2; by++ {
-		for bx := 0; bx < 2; bx++ {
-			bx0, by0 := x0+bx*blockSize, y0+by*blockSize
-			loadResidual(src, ref, bx0, by0, dx, dy, samples)
-			encodeBlock(w, samples, cfg.QP, rec)
-			storeCompensated(recon, ref, bx0, by0, dx, dy, rec)
-		}
-	}
-	// Chroma residuals with halved motion.
-	cw, ch := src.W/2, src.H/2
-	cx0, cy0 := x0/2, y0/2
-	cdx, cdy := dx/2, dy/2
-	for plane := 0; plane < 2; plane++ {
-		sp, rp, op := src.Cb, ref.Cb, recon.Cb
-		if plane == 1 {
-			sp, rp, op = src.Cr, ref.Cr, recon.Cr
-		}
-		for y := 0; y < blockSize; y++ {
-			for x := 0; x < blockSize; x++ {
-				s := float64(sp[(cy0+y)*cw+cx0+x])
-				r := chromaAt(rp, cw, ch, cx0+x+cdx, cy0+y+cdy)
-				samples[y*blockSize+x] = s - r
-			}
-		}
-		encodeBlock(w, samples, cfg.QP*1.2, rec)
-		for y := 0; y < blockSize; y++ {
-			for x := 0; x < blockSize; x++ {
-				p := chromaAt(rp, cw, ch, cx0+x+cdx, cy0+y+cdy)
-				op[(cy0+y)*cw+cx0+x] = clampByte(p + rec[y*blockSize+x])
-			}
-		}
-	}
-	return dx, dy
-}
-
-// decodeInterMB reverses encodeInterMB against the decoder's reference.
+// decodeInterMB reverses the inter macroblock coding of gatherInterMB
+// and emitMB against the decoder's reference.
 func decodeInterMB(r *bitReader, ref, out *video.Frame, mx, my int, cfg Config) error {
 	x0, y0 := mx*mbSize, my*mbSize
 	dx64, err := r.readSE()
@@ -343,12 +324,10 @@ func decodeInterMB(r *bitReader, ref, out *video.Frame, mx, my int, cfg Config) 
 			if err := decodeBlock(r, cfg.QP, &rec); err != nil {
 				return err
 			}
-			storeCompensated(out, ref, x0+bx*blockSize, y0+by*blockSize, dx, dy, &rec)
+			storeCompensated(out.Y, ref.Y, out.W, out.H, x0+bx*blockSize, y0+by*blockSize, dx, dy, &rec)
 		}
 	}
 	cw, ch := out.W/2, out.H/2
-	cx0, cy0 := x0/2, y0/2
-	cdx, cdy := dx/2, dy/2
 	for plane := 0; plane < 2; plane++ {
 		rp, op := ref.Cb, out.Cb
 		if plane == 1 {
@@ -357,12 +336,8 @@ func decodeInterMB(r *bitReader, ref, out *video.Frame, mx, my int, cfg Config) 
 		if err := decodeBlock(r, cfg.QP*1.2, &rec); err != nil {
 			return err
 		}
-		for y := 0; y < blockSize; y++ {
-			for x := 0; x < blockSize; x++ {
-				p := chromaAt(rp, cw, ch, cx0+x+cdx, cy0+y+cdy)
-				op[(cy0+y)*cw+cx0+x] = clampByte(p + rec[y*blockSize+x])
-			}
-		}
+		// Chroma moves by the halved vector.
+		storeCompensated(op, rp, cw, ch, x0/2, y0/2, dx/2, dy/2, &rec)
 	}
 	return nil
 }

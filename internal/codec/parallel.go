@@ -33,13 +33,15 @@ import (
 // mbScratch bundles the per-worker buffers of the macroblock hot path:
 // the bitstream writer (its buffer is recycled between macroblocks after
 // the chunk is copied into the row arena), the three 8x8 sample blocks,
-// and the motion-predictor candidate array.
+// the motion-predictor candidate array, and the diamond search's record
+// of scored displacements.
 type mbScratch struct {
 	w       bitWriter
 	samples [64]float64
 	rec     [64]float64
 	pred    [64]float64
 	starts  [3][2]int
+	seen    visitSet
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(mbScratch) }}
@@ -156,7 +158,7 @@ func (e *Encoder) encodeRow(src, recon *video.Frame, out *EncodedFrame, mvs [][2
 				starts = append(starts, e.prevMVs[my*cols+mx])
 			}
 			x0, y0 := mx*mbSize, my*mbSize
-			dx, dy := motionSearch(src, e.ref, x0, y0, e.cfg, starts)
+			dx, dy := motionSearch(&sc.seen, src, e.ref, x0, y0, e.cfg, starts)
 			mvs[my*cols+mx] = [2]int{dx, dy}
 			gatherInterMB(b, src, e.ref, mx, my, dx, dy)
 		}

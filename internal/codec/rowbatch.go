@@ -23,8 +23,8 @@ import (
 //
 // Phases B and C call the same quantiseBlock/entropyCodeBlock halves
 // that encodeBlock is built from, and phase C writes bits in exactly the
-// order encodeIntraMB/encodeInterMB would, so the bitstream is
-// bit-identical to the per-macroblock path (pinned by
+// order the per-macroblock coder would (kept in rowbatch_test.go as the
+// reference), so the bitstream is bit-identical to it (pinned by
 // TestBatchedRowMatchesPerMB). Batching is safe because nothing in
 // phases B/C feeds back into phase A within a row: intra blocks predict
 // from flat 128 and inter blocks from the previous frame's
@@ -81,33 +81,20 @@ func gatherInterMB(b *rowBatch, src, ref *video.Frame, mx, my, dx, dy int) {
 	i := base
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
-			loadResidual(src, ref, x0+bx*blockSize, y0+by*blockSize, dx, dy, &b.samples[i])
+			loadResidual(src.Y, ref.Y, src.W, src.H, x0+bx*blockSize, y0+by*blockSize, dx, dy, &b.samples[i])
 			i++
 		}
 	}
+	// Chroma residuals with halved motion.
 	cw, ch := src.W/2, src.H/2
-	cx0, cy0 := x0/2, y0/2
-	cdx, cdy := dx/2, dy/2
-	for plane := 0; plane < 2; plane++ {
-		sp, rp := src.Cb, ref.Cb
-		if plane == 1 {
-			sp, rp = src.Cr, ref.Cr
-		}
-		s := &b.samples[base+4+plane]
-		for y := 0; y < blockSize; y++ {
-			for x := 0; x < blockSize; x++ {
-				sv := float64(sp[(cy0+y)*cw+cx0+x])
-				rv := chromaAt(rp, cw, ch, cx0+x+cdx, cy0+y+cdy)
-				s[y*blockSize+x] = sv - rv
-			}
-		}
-	}
+	loadResidual(src.Cb, ref.Cb, cw, ch, x0/2, y0/2, dx/2, dy/2, &b.samples[base+4])
+	loadResidual(src.Cr, ref.Cr, cw, ch, x0/2, y0/2, dx/2, dy/2, &b.samples[base+5])
 }
 
 // emitMB entropy-codes one macroblock from the quantised row batch and
 // writes its reconstruction (phase C). The bit order — motion vector
-// (inter only), four luma blocks, Cb, Cr — matches
-// encodeIntraMB/encodeInterMB exactly.
+// (inter only), four luma blocks, Cb, Cr — matches the per-macroblock
+// reference coder exactly.
 func emitMB(b *rowBatch, sc *mbScratch, src, ref, recon *video.Frame, mvs [][2]int, ft FrameType, mx, my, cols int, qL, qC float64) {
 	base := mx * blocksPerMB
 	x0, y0 := mx*mbSize, my*mbSize
@@ -126,14 +113,13 @@ func emitMB(b *rowBatch, sc *mbScratch, src, ref, recon *video.Frame, mvs [][2]i
 			if ft == IFrame {
 				storeBlock(recon.Y, recon.W, bx0, by0, 128, &sc.rec)
 			} else {
-				storeCompensated(recon, ref, bx0, by0, dx, dy, &sc.rec)
+				storeCompensated(recon.Y, ref.Y, recon.W, recon.H, bx0, by0, dx, dy, &sc.rec)
 			}
 			i++
 		}
 	}
 	cw, ch := src.W/2, src.H/2
 	cx0, cy0 := x0/2, y0/2
-	cdx, cdy := dx/2, dy/2
 	for plane := 0; plane < 2; plane++ {
 		entropyCodeBlock(&sc.w, &b.quant[base+4+plane], b.nonzero[base+4+plane], qC, &sc.rec)
 		if ft == IFrame {
@@ -148,11 +134,6 @@ func emitMB(b *rowBatch, sc *mbScratch, src, ref, recon *video.Frame, mvs [][2]i
 		if plane == 1 {
 			rp, op = ref.Cr, recon.Cr
 		}
-		for y := 0; y < blockSize; y++ {
-			for x := 0; x < blockSize; x++ {
-				pv := chromaAt(rp, cw, ch, cx0+x+cdx, cy0+y+cdy)
-				op[(cy0+y)*cw+cx0+x] = clampByte(pv + sc.rec[y*blockSize+x])
-			}
-		}
+		storeCompensated(op, rp, cw, ch, cx0, cy0, dx/2, dy/2, &sc.rec)
 	}
 }

@@ -73,7 +73,7 @@ ledger_tmp=$(mktemp)
 trap 'rm -f "$tmp" "$obs_tmp" "$ledger_tmp"' EXIT
 
 echo "running codec micro-benchmarks..." >&2
-go test -run '^$' -bench 'BenchmarkFDCT8$|BenchmarkIDCT8$|BenchmarkMotionSearch$|BenchmarkEncodeFrameParallel$|BenchmarkPacketizeInto$|BenchmarkPacketize$' \
+go test -run '^$' -bench 'BenchmarkFDCT8$|BenchmarkIDCT8$|BenchmarkMotionSearch$|BenchmarkEncodeFrameParallel$|BenchmarkPacketizeInto$|BenchmarkPacketize$|BenchmarkSADMB$|BenchmarkQuantiseBlock$' \
 	-benchmem -timeout 600s ./internal/codec | tee -a "$tmp" >&2
 
 echo "running vcrypt hot-path benchmarks..." >&2
