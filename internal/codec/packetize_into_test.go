@@ -215,7 +215,9 @@ func TestBufPoolPutHardening(t *testing.T) {
 	if a == b {
 		t.Fatal("double Put inserted the buffer twice")
 	}
-	if a != buf && b != buf {
+	// sync.Pool drops Puts at random under -race, so only a normal
+	// build can require the first Put to have been kept.
+	if !raceEnabled && a != buf && b != buf {
 		t.Fatal("first Put never reached the pool")
 	}
 

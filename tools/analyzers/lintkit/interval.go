@@ -1817,32 +1817,14 @@ func LenSymFor(info *types.Info, e ast.Expr) (LenSym, bool) {
 // result over all return statements, with callee-local symbolic bounds
 // stripped. Callers should memoize the result on the Program cache.
 func BuildIntervalSummaries(prog *Program, src SourcePredicate) IntervalSummaries {
-	sums := make(IntervalSummaries)
 	if prog == nil {
-		return sums
+		return make(IntervalSummaries)
 	}
-	cg := BuildCallGraph(prog)
-	for _, scc := range cg.BottomUp() {
-		// iterate mutual recursion to a small fixpoint
-		for round := 0; round < 3; round++ {
-			changed := false
-			for _, fn := range scc {
-				fsrc := prog.Source(fn)
-				if fsrc == nil {
-					continue
-				}
-				s := summarizeFunc(prog, fsrc, sums, src)
-				if !summaryEqual(sums[fn], s) {
-					sums[fn] = s
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-	return sums
+	// Mutual recursion iterates to a small fixpoint: at most three
+	// rounds per component.
+	return SolveBottomUp(prog, 3, func(_ *types.Func, fsrc *FuncSource, sums map[*types.Func][]Value) []Value {
+		return summarizeFunc(prog, fsrc, sums, src)
+	}, summaryEqual)
 }
 
 func summaryEqual(a, b []Value) bool {

@@ -50,11 +50,18 @@ func (a *Analyzer) AppliesTo(importPath string) bool {
 		return true
 	}
 	for _, pat := range a.Packages {
-		if importPath == pat || strings.HasSuffix(importPath, "/"+pat) {
+		if PathMatches(importPath, pat) {
 			return true
 		}
 	}
 	return false
+}
+
+// PathMatches reports whether an import path is pat or ends in "/"+pat:
+// "internal/vcrypt" matches "repro/internal/vcrypt" but neither
+// "repro/notinternal/vcrypt" nor "repro/internal/vcrypt/sub".
+func PathMatches(path, pat string) bool {
+	return path == pat || strings.HasSuffix(path, "/"+pat)
 }
 
 // Diagnostic is one finding.
@@ -257,6 +264,47 @@ func RunProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return diags, nil
+}
+
+// ForEachBody calls fn with every function body in files: each
+// declaration's (n is the *ast.FuncDecl), then that of every function
+// literal nested in it, literals inside literals included (n is the
+// *ast.FuncLit), in source order. Passes that analyze each literal as
+// its own body — it generally runs on another goroutine or at defer
+// time — share this walk.
+func ForEachBody(files []*ast.File, fn func(n ast.Node, body *ast.BlockStmt)) {
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn(fd, fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					fn(lit, lit.Body)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// RecvName returns the name of the named type (or pointer to it) that
+// is fn's receiver, or "" for functions and unnamed receiver types.
+func RecvName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
 // FuncForCall resolves the *types.Func a call expression invokes, or

@@ -160,21 +160,9 @@ func sharedStdImporter() types.Importer {
 	return lockedImporter{mu: &stdImporterMu, imp: imp}
 }
 
-// LoadDir loads and type-checks the packages matched by patterns
-// (default ./...) inside the module rooted at dir. Only non-test Go
-// files are parsed: the invariants guarded here are about shipped
-// model, codec and transport code, and tests legitimately use exact
-// comparisons and wall clocks to assert on them.
-func LoadDir(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	// Metadata for the whole module so imports between target packages
-	// always resolve, whatever subset the patterns select.
-	metas, err := goList(dir, []string{"./..."})
-	if err != nil {
-		return nil, err
-	}
+// newLoader returns a loader that type-checks the given module-local
+// packages from source and everything else from the standard library.
+func newLoader(metas []*listPkg) *loader {
 	l := &loader{
 		fset:     token.NewFileSet(),
 		std:      sharedStdImporter(),
@@ -183,23 +171,16 @@ func LoadDir(dir string, patterns ...string) ([]*Package, error) {
 		checking: make(map[string]bool),
 	}
 	for _, m := range metas {
-		if m.Error != nil {
-			return nil, fmt.Errorf("go list %s: %s", m.ImportPath, m.Error.Err)
-		}
-		if len(m.GoFiles) > 0 {
-			l.metas[m.ImportPath] = m
-		}
+		l.metas[m.ImportPath] = m
 	}
-	targets, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
+	return l
+}
+
+// load type-checks the named module-local packages, in order.
+func (l *loader) load(paths []string) ([]*Package, error) {
 	var out []*Package
-	for _, t := range targets {
-		meta, ok := l.metas[t.ImportPath]
-		if !ok {
-			continue // outside the module, or no buildable Go files
-		}
+	for _, path := range paths {
+		meta := l.metas[path]
 		c, err := l.check(meta)
 		if err != nil {
 			return nil, err
@@ -215,4 +196,42 @@ func LoadDir(dir string, patterns ...string) ([]*Package, error) {
 		})
 	}
 	return out, nil
+}
+
+// LoadDir loads and type-checks the packages matched by patterns
+// (default ./...) inside the module rooted at dir. Only non-test Go
+// files are parsed: the invariants guarded here are about shipped
+// model, codec and transport code, and tests legitimately use exact
+// comparisons and wall clocks to assert on them.
+func LoadDir(dir string, patterns ...string) ([]*Package, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	// Metadata for the whole module so imports between target packages
+	// always resolve, whatever subset the patterns select.
+	metas, err := goList(dir, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	var local []*listPkg
+	for _, m := range metas {
+		if m.Error != nil {
+			return nil, fmt.Errorf("go list %s: %s", m.ImportPath, m.Error.Err)
+		}
+		if len(m.GoFiles) > 0 {
+			local = append(local, m)
+		}
+	}
+	l := newLoader(local)
+	targets, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for _, t := range targets {
+		if _, ok := l.metas[t.ImportPath]; ok { // else outside the module, or no buildable Go files
+			paths = append(paths, t.ImportPath)
+		}
+	}
+	return l.load(paths)
 }

@@ -55,38 +55,16 @@ type FuncMatch struct {
 	Name string
 }
 
-func matchPath(pkgPath, pat string) bool {
-	if pat == "" || pkgPath == pat {
-		return true
-	}
-	n := len(pkgPath) - len(pat)
-	return n > 0 && pkgPath[n-1] == '/' && pkgPath[n:] == pat
-}
-
 // Matches reports whether fn is the named function.
 func (m FuncMatch) Matches(fn *types.Func) bool {
-	if fn == nil || fn.Name() != m.Name || fn.Pkg() == nil || !matchPath(fn.Pkg().Path(), m.Path) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
+	if fn == nil || fn.Name() != m.Name || fn.Pkg() == nil || !PathMatches(fn.Pkg().Path(), m.Path) {
 		return false
 	}
 	if m.Recv == "" {
-		return sig.Recv() == nil
+		sig, ok := fn.Type().(*types.Signature)
+		return ok && sig.Recv() == nil
 	}
-	return sig.Recv() != nil && recvTypeName(sig) == m.Recv
-}
-
-func recvTypeName(sig *types.Signature) string {
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
+	return RecvName(fn) == m.Recv
 }
 
 // SinkSpec marks a call whose arguments must not carry taint.
@@ -150,7 +128,7 @@ type TaintSummary struct {
 type TaintEngine struct {
 	spec *TaintSpec
 	prog *Program
-	sums map[*types.Func]*TaintSummary
+	sums map[*types.Func]TaintSummary
 	// carry memoizes canCarry per type (1 = yes, 2 = no, 3 = in
 	// progress, used as "no" to break recursive types).
 	carry map[types.Type]int8
@@ -239,10 +217,12 @@ func NewTaintEngine(prog *Program, spec *TaintSpec) *TaintEngine {
 		e := &TaintEngine{
 			spec:  spec,
 			prog:  prog,
-			sums:  make(map[*types.Func]*TaintSummary),
 			carry: make(map[types.Type]int8),
 		}
-		e.computeSummaries()
+		// Summaries only grow: each round starts from the current one.
+		e.sums = SolveBottomUp(prog, 0, func(fn *types.Func, src *FuncSource, sums map[*types.Func]TaintSummary) TaintSummary {
+			return e.analyze(fn, src, sums, nil)
+		}, func(a, b TaintSummary) bool { return a == b })
 		return e
 	})
 	return v.(*TaintEngine)
@@ -250,28 +230,12 @@ func NewTaintEngine(prog *Program, spec *TaintSpec) *TaintEngine {
 
 // Summary returns the computed summary of a module-local function (nil
 // for unknown functions).
-func (e *TaintEngine) Summary(fn *types.Func) *TaintSummary { return e.sums[fn] }
-
-func (e *TaintEngine) computeSummaries() {
-	cg := BuildCallGraph(e.prog)
-	for _, scc := range cg.BottomUp() {
-		for _, fn := range scc {
-			if e.sums[fn] == nil {
-				e.sums[fn] = &TaintSummary{}
-			}
-		}
-		// Iterate the component to a fixpoint (summaries only grow).
-		for changed := true; changed; {
-			changed = false
-			for _, fn := range scc {
-				old := *e.sums[fn]
-				e.analyze(fn, nil)
-				if *e.sums[fn] != old {
-					changed = true
-				}
-			}
-		}
+func (e *TaintEngine) Summary(fn *types.Func) *TaintSummary {
+	if e.prog.Source(fn) == nil {
+		return nil
 	}
+	s := e.sums[fn]
+	return &s
 }
 
 // Check reports sink violations in every function of the pass's
@@ -280,46 +244,40 @@ func (e *TaintEngine) computeSummaries() {
 // and reported at the call site that supplies tainted data).
 func (e *TaintEngine) Check(pass *Pass) {
 	for _, fn := range e.prog.Funcs() {
-		src := e.prog.Source(fn)
-		if src == nil || src.Pkg.Types != pass.Pkg {
-			continue
+		if src := e.prog.Source(fn); src.Pkg.Types == pass.Pkg {
+			e.analyze(fn, src, e.sums, pass)
 		}
-		if e.sums[fn] == nil {
-			e.sums[fn] = &TaintSummary{}
-		}
-		e.analyze(fn, pass)
 	}
 }
 
-// analyze runs the flow problem over fn's body, updating its summary in
-// place; with a non-nil pass it additionally reports Source-origin sink
-// hits in a single deterministic visit.
-func (e *TaintEngine) analyze(fn *types.Func, pass *Pass) {
-	src := e.prog.Source(fn)
-	if src == nil {
-		return
-	}
+// analyze runs the flow problem over fn's body against the callee
+// summaries sums and returns the body's summary, grown from its entry
+// in sums; with a non-nil pass it additionally reports Source-origin
+// sink hits in a single deterministic visit.
+func (e *TaintEngine) analyze(fn *types.Func, src *FuncSource, sums map[*types.Func]TaintSummary, pass *Pass) TaintSummary {
 	cfg := BuildCFG(src.Decl.Body)
+	sum := sums[fn]
 	p := &taintFlow{
 		engine: e,
 		info:   src.Pkg.Info,
-		sum:    e.sums[fn],
+		sums:   sums,
+		sum:    &sum,
 		entry:  e.entryFact(src.Decl, src.Pkg.Info),
 	}
 	in := Solve(cfg, p)
-	if pass == nil {
-		return
-	}
-	// Reporting visit: one pass over the solved facts so each sink site
-	// fires at most once.
-	p.pass = pass
-	for _, b := range cfg.Blocks {
-		f, ok := in[b]
-		if !ok {
-			continue
+	if pass != nil {
+		// Reporting visit: one pass over the solved facts so each sink
+		// site fires at most once.
+		p.pass = pass
+		for _, b := range cfg.Blocks {
+			f, ok := in[b]
+			if !ok {
+				continue
+			}
+			transferBlock(p, b, p.Clone(f))
 		}
-		transferBlock(p, b, p.Clone(f))
 	}
+	return sum
 }
 
 // entryFact taints every parameter (and the receiver) with its own
@@ -369,7 +327,8 @@ func newTaintFact() *taintFact {
 type taintFlow struct {
 	engine *TaintEngine
 	info   *types.Info
-	sum    *TaintSummary
+	sums   map[*types.Func]TaintSummary // callee summaries
+	sum    *TaintSummary                // the summary being computed
 	entry  *taintFact
 	pass   *Pass // nil during summary fixpoint
 	// lit guards against re-walking the same function literal within
@@ -503,7 +462,7 @@ func (p *taintFlow) isPolicyClearConst(e ast.Expr) bool {
 		return false
 	}
 	for _, m := range p.engine.spec.PolicyClearConsts {
-		if c.Name() == m.Name && matchPath(c.Pkg().Path(), m.Path) {
+		if c.Name() == m.Name && PathMatches(c.Pkg().Path(), m.Path) {
 			return true
 		}
 	}
@@ -856,7 +815,8 @@ func (p *taintFlow) evalCall(call *ast.CallExpr, t *taintFact) Origins {
 		}
 	}
 
-	if sum := p.engine.sums[callee]; sum != nil {
+	if p.engine.prog.Source(callee) != nil {
+		sum := p.sums[callee]
 		// Module-local callee: substitute this call's origins into the
 		// callee's parameter-indexed summary.
 		for i, o := range pos {
@@ -982,6 +942,7 @@ func (p *taintFlow) analyzeLit(lit *ast.FuncLit, args []Origins, t *taintFact) {
 	sub := &taintFlow{
 		engine:   p.engine,
 		info:     p.info,
+		sums:     p.sums,
 		sum:      p.sum,
 		entry:    entry,
 		litDepth: p.litDepth + 1,

@@ -2,11 +2,6 @@ package lintkit
 
 import (
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -24,36 +19,11 @@ import (
 // on its line, and every diagnostic must be matched by a want.
 func RunTest(t *testing.T, a *Analyzer, dir, importPath string) {
 	t.Helper()
-	diags, err := runOnDir(a, dir, importPath)
+	pkg, err := checkDir(dir, importPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants, err := parseWants(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matched := make([]bool, len(diags))
-	for _, w := range wants {
-		ok := false
-		for i, d := range diags {
-			if matched[i] || filepath.Base(d.Pos.Filename) != w.file || d.Pos.Line != w.line {
-				continue
-			}
-			if w.re.MatchString(d.Message) {
-				matched[i] = true
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.re)
-		}
-	}
-	for i, d := range diags {
-		if !matched[i] {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
+	checkWants(t, a, dir, []*Package{pkg})
 }
 
 // RunTestNone asserts the analyzer reports nothing for dir when the
@@ -61,120 +31,17 @@ func RunTest(t *testing.T, a *Analyzer, dir, importPath string) {
 // allowlist markers suppress as designed.
 func RunTestNone(t *testing.T, a *Analyzer, dir, importPath string) {
 	t.Helper()
-	diags, err := runOnDir(a, dir, importPath)
+	pkg, err := checkDir(dir, importPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic for %s: %s", importPath, d)
 	}
-}
-
-func runOnDir(a *Analyzer, dir, importPath string) ([]Diagnostic, error) {
-	pkg, err := checkDir(dir, importPath)
-	if err != nil {
-		return nil, err
-	}
-	return RunAnalyzers([]*Package{pkg}, []*Analyzer{a})
-}
-
-// checkDir parses and type-checks the files of dir as one package,
-// resolving imports from the standard library only (testdata imports
-// nothing else).
-func checkDir(dir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: importer.ForCompiler(token.NewFileSet(), "source", nil)}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-check %s: %w", dir, err)
-	}
-	return &Package{
-		ImportPath: importPath,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		allow:      buildAllowIndex(fset, files),
-	}, nil
-}
-
-type want struct {
-	file string
-	line int
-	re   *regexp.Regexp
-}
-
-var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
-var wantArgRe = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
-
-func parseWants(dir string) ([]want, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var wants []want
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			m := wantRe.FindStringSubmatch(line)
-			if m == nil {
-				continue
-			}
-			for _, arg := range wantArgRe.FindAllStringSubmatch(m[1], -1) {
-				pat := arg[1]
-				if pat == "" && arg[2] != "" {
-					unq, err := strconv.Unquote(`"` + arg[2] + `"`)
-					if err != nil {
-						return nil, fmt.Errorf("%s:%d: bad want string: %v", e.Name(), i+1, err)
-					}
-					pat = unq
-				}
-				re, err := regexp.Compile(pat)
-				if err != nil {
-					return nil, fmt.Errorf("%s:%d: bad want regexp: %v", e.Name(), i+1, err)
-				}
-				wants = append(wants, want{file: e.Name(), line: i + 1, re: re})
-			}
-		}
-	}
-	sort.Slice(wants, func(i, j int) bool {
-		if wants[i].file != wants[j].file {
-			return wants[i].file < wants[j].file
-		}
-		return wants[i].line < wants[j].line
-	})
-	return wants, nil
 }
 
 // RunTestModule applies the analyzer to a testdata tree laid out as a
@@ -192,19 +59,119 @@ func RunTestModule(t *testing.T, a *Analyzer, root string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWants(t, a, root, pkgs)
+}
+
+// checkDir parses and type-checks the files of dir as one package,
+// resolving imports from the standard library only (testdata imports
+// nothing else).
+func checkDir(dir, importPath string) (*Package, error) {
+	names, err := goFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	pkgs, err := newLoader([]*listPkg{{ImportPath: importPath, Dir: dir, GoFiles: names}}).load([]string{importPath})
+	if err != nil {
+		return nil, err
+	}
+	return pkgs[0], nil
+}
+
+// loadTestModule type-checks every package of a RunTestModule tree, in
+// import-path order.
+func loadTestModule(root string) ([]*Package, error) {
+	var metas []*listPkg
+	var paths []string
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		names, err := goFiles(p)
+		if err != nil || len(names) == 0 {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		metas = append(metas, &listPkg{ImportPath: filepath.ToSlash(rel), Dir: p, GoFiles: names})
+		paths = append(paths, filepath.ToSlash(rel))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no .go files under %s", root)
+	}
+	sort.Strings(paths)
+	return newLoader(metas).load(paths)
+}
+
+// goFiles lists the names of the .go files in dir, sorted.
+func goFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
+}
+
+type want struct {
+	file string // slash path relative to the test root
+	line int
+	re   *regexp.Regexp
+}
+
+var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
+var wantArgRe = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
+
+// checkWants runs a over pkgs, loaded from below root, and matches its
+// findings against the want comments of the packages' files.
+func checkWants(t *testing.T, a *Analyzer, root string, pkgs []*Package) {
+	t.Helper()
 	diags, err := RunAnalyzers(pkgs, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants, err := parseWantsTree(root)
-	if err != nil {
-		t.Fatal(err)
+	rel := func(path string) string {
+		r, err := filepath.Rel(root, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.ToSlash(r)
 	}
+	var wants []want
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			path := pkg.Fset.File(f.Pos()).Name()
+			ws, err := parseWants(path, rel(path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants = append(wants, ws...)
+		}
+	}
+	sort.SliceStable(wants, func(i, j int) bool {
+		if wants[i].file != wants[j].file {
+			return wants[i].file < wants[j].file
+		}
+		return wants[i].line < wants[j].line
+	})
 	matched := make([]bool, len(diags))
 	for _, w := range wants {
 		ok := false
 		for i, d := range diags {
-			if matched[i] || !strings.HasSuffix(filepath.ToSlash(d.Pos.Filename), w.file) || d.Pos.Line != w.line {
+			if matched[i] || rel(d.Pos.Filename) != w.file || d.Pos.Line != w.line {
 				continue
 			}
 			if w.re.MatchString(d.Message) {
@@ -224,151 +191,8 @@ func RunTestModule(t *testing.T, a *Analyzer, root string) {
 	}
 }
 
-// testModuleImporter resolves the packages of one testdata tree.
-type testModuleImporter struct {
-	fset     *token.FileSet
-	dirs     map[string]string // import path -> directory
-	done     map[string]*Package
-	checking map[string]bool
-	std      types.Importer
-}
-
-func (m *testModuleImporter) Import(path string) (*types.Package, error) {
-	if _, ok := m.dirs[path]; ok {
-		pkg, err := m.check(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return m.std.Import(path)
-}
-
-func (m *testModuleImporter) check(path string) (*Package, error) {
-	if pkg, ok := m.done[path]; ok {
-		return pkg, nil
-	}
-	if m.checking[path] {
-		return nil, fmt.Errorf("import cycle through %s", path)
-	}
-	m.checking[path] = true
-	defer delete(m.checking, path)
-	dir := m.dirs[path]
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: m}
-	tpkg, err := conf.Check(path, m.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-check %s: %w", dir, err)
-	}
-	pkg := &Package{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       m.fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		allow:      buildAllowIndex(m.fset, files),
-	}
-	m.done[path] = pkg
-	return pkg, nil
-}
-
-func loadTestModule(root string) ([]*Package, error) {
-	m := &testModuleImporter{
-		fset:     token.NewFileSet(),
-		dirs:     make(map[string]string),
-		done:     make(map[string]*Package),
-		checking: make(map[string]bool),
-		std:      sharedStdImporter(),
-	}
-	var paths []string
-	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".go") {
-			return err
-		}
-		dir := filepath.Dir(p)
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return err
-		}
-		ip := filepath.ToSlash(rel)
-		if _, ok := m.dirs[ip]; !ok {
-			m.dirs[ip] = dir
-			paths = append(paths, ip)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no .go files under %s", root)
-	}
-	sort.Strings(paths)
-	var out []*Package
-	for _, p := range paths {
-		pkg, err := m.check(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// parseWantsTree collects // want comments from every .go file below
-// root; the want's file key is the slash path relative to root.
-func parseWantsTree(root string) ([]want, error) {
-	var wants []want
-	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".go") {
-			return err
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return err
-		}
-		ws, err := parseWantsFile(p, filepath.ToSlash(rel))
-		if err != nil {
-			return err
-		}
-		wants = append(wants, ws...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(wants, func(i, j int) bool {
-		if wants[i].file != wants[j].file {
-			return wants[i].file < wants[j].file
-		}
-		return wants[i].line < wants[j].line
-	})
-	return wants, nil
-}
-
-// parseWantsFile extracts the want comments of one file, keyed as name.
-func parseWantsFile(path, name string) ([]want, error) {
+// parseWants extracts the want comments of one file, keyed as name.
+func parseWants(path, name string) ([]want, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

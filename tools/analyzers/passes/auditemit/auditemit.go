@@ -27,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/tools/analyzers/lintkit"
 )
@@ -110,21 +109,9 @@ func run(pass *lintkit.Pass) error {
 		return nil
 	}
 	sums := emitSummaries(pass.Prog)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkBody(pass, sums, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkBody(pass, sums, lit.Body)
-				}
-				return true
-			})
-		}
-	}
+	lintkit.ForEachBody(pass.Files, func(_ ast.Node, body *ast.BlockStmt) {
+		checkBody(pass, sums, body)
+	})
 	return nil
 }
 
@@ -318,7 +305,7 @@ func (s *scanner) callTrigger(call *ast.CallExpr, fn *types.Func) (trigger, bool
 	if obj == nil || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
 		return trigger{}, false // not a package-level counter
 	}
-	if !pathMatches(obj.Pkg().Path(), "internal/transport") {
+	if !lintkit.PathMatches(obj.Pkg().Path(), "internal/transport") {
 		return trigger{}, false
 	}
 	for _, ct := range counterTriggers {
@@ -344,14 +331,10 @@ func constKindOf(info *types.Info, e ast.Expr) (kindSet, bool) {
 	}
 	obj := info.Uses[id]
 	cst, ok := obj.(*types.Const)
-	if !ok || cst.Pkg() == nil || !pathMatches(cst.Pkg().Path(), "internal/ledger") {
+	if !ok || cst.Pkg() == nil || !lintkit.PathMatches(cst.Pkg().Path(), "internal/ledger") {
 		return 0, false
 	}
 	return kindBit(cst.Name())
-}
-
-func pathMatches(path, pat string) bool {
-	return path == pat || strings.HasSuffix(path, "/"+pat)
 }
 
 // --- bottom-up must-emit summaries ---
@@ -363,30 +346,12 @@ type emitCacheKey struct{}
 // exit. Summaries start empty, so recursion settles conservatively.
 func emitSummaries(prog *lintkit.Program) map[*types.Func]kindSet {
 	v := prog.Cache(emitCacheKey{}, func() any {
-		sums := make(map[*types.Func]kindSet)
-		cg := lintkit.BuildCallGraph(prog)
-		for _, scc := range cg.BottomUp() {
-			for changed := true; changed; {
-				changed = false
-				for _, fn := range scc {
-					src := prog.Source(fn)
-					if src == nil {
-						continue
-					}
-					got := summarize(src, sums)
-					if got != sums[fn] {
-						sums[fn] = got
-						changed = true
-					}
-				}
-			}
-		}
-		return sums
+		return lintkit.SolveBottomUp(prog, 0, summarize, func(a, b kindSet) bool { return a == b })
 	})
 	return v.(map[*types.Func]kindSet)
 }
 
-func summarize(src *lintkit.FuncSource, sums map[*types.Func]kindSet) kindSet {
+func summarize(_ *types.Func, src *lintkit.FuncSource, sums map[*types.Func]kindSet) kindSet {
 	cfg := lintkit.BuildCFG(src.Decl.Body)
 	sc := &scanner{info: src.Pkg.Info, sums: sums}
 	blockKinds := make([]kindSet, len(cfg.Blocks))

@@ -73,24 +73,12 @@ func run(pass *lintkit.Pass) error {
 	}
 	sums := ownSummaries(pass.Prog)
 	checkRetainAnnotations(pass)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkBody(pass, sums, fd.Body)
-			// Every literal is its own body: it generally runs on
-			// another goroutine (live_http's upload loop) or at defer
-			// time, where the enclosing bindings do not apply.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkBody(pass, sums, lit.Body)
-				}
-				return true
-			})
-		}
-	}
+	// Every literal is its own body: it generally runs on another
+	// goroutine (live_http's upload loop) or at defer time, where the
+	// enclosing bindings do not apply.
+	lintkit.ForEachBody(pass.Files, func(_ ast.Node, body *ast.BlockStmt) {
+		checkBody(pass, sums, body)
+	})
 	return nil
 }
 
@@ -621,8 +609,7 @@ func isWirePacket(t types.Type) bool {
 	if obj.Name() != "WirePacket" || obj.Pkg() == nil {
 		return false
 	}
-	path := obj.Pkg().Path()
-	return path == "internal/codec" || strings.HasSuffix(path, "/internal/codec")
+	return lintkit.PathMatches(obj.Pkg().Path(), "internal/codec")
 }
 
 // recvIndex keys the receiver in an ownSummary's consumes map.
@@ -645,30 +632,17 @@ type ownCacheKey struct{}
 // forwards PacketizeInto's result returns owned packets).
 func ownSummaries(prog *lintkit.Program) map[*types.Func]*ownSummary {
 	v := prog.Cache(ownCacheKey{}, func() any {
-		sums := make(map[*types.Func]*ownSummary)
-		cg := lintkit.BuildCallGraph(prog)
-		for _, scc := range cg.BottomUp() {
-			for changed := true; changed; {
-				changed = false
-				for _, fn := range scc {
-					src := prog.Source(fn)
-					if src == nil {
-						continue
-					}
-					s := summarize(fn, src, sums)
-					if old := sums[fn]; old == nil || !equalSummary(old, s) {
-						sums[fn] = s
-						changed = true
-					}
-				}
-			}
-		}
-		return sums
+		return lintkit.SolveBottomUp(prog, 0, summarize, equalSummary)
 	})
 	return v.(map[*types.Func]*ownSummary)
 }
 
+// equalSummary compares two summaries; nil, the solver's starting
+// value, equals only nil.
 func equalSummary(a, b *ownSummary) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
 	if a.returnsOwned != b.returnsOwned || len(a.consumes) != len(b.consumes) {
 		return false
 	}

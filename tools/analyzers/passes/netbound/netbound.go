@@ -69,24 +69,16 @@ func summaries(prog *lintkit.Program) lintkit.IntervalSummaries {
 
 func run(pass *lintkit.Pass) error {
 	sums := summaries(pass.Prog)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ia := lintkit.AnalyzeFunc(pass.TypesInfo, pass.Prog, sums, isSource, fd)
-			checkBody(pass, ia)
+	lintkit.ForEachBody(pass.Files, func(n ast.Node, _ *ast.BlockStmt) {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			checkBody(pass, lintkit.AnalyzeFunc(pass.TypesInfo, pass.Prog, sums, isSource, n))
+		case *ast.FuncLit:
 			// nested literals are analyzed standalone: captured values
 			// start unconstrained, which is sound for any call site
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					checkBody(pass, lintkit.AnalyzeFuncLit(pass.TypesInfo, pass.Prog, sums, isSource, lit))
-				}
-				return true
-			})
+			checkBody(pass, lintkit.AnalyzeFuncLit(pass.TypesInfo, pass.Prog, sums, isSource, n))
 		}
-	}
+	})
 	return nil
 }
 
